@@ -10,11 +10,17 @@ band coverage.  Three things to look for in the output:
   random walk actually grows;
 * shorter histories drag coverage slightly below 0.683 because sigma-hat
   is noisier; the use_true_sigma column isolates that effect.
+
+The "exact" column is the coverage theory predicts: with sigma-hat from
+L-1 differences, (x_{L-1+k} - x_{L-1}) / (sqrt(k) sigma-hat) is Student-t
+with L-2 degrees of freedom, so a step covers with P(|T_{L-2}| <= 1); with
+the true sigma it covers with the normal mass P(|Z| <= 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 
 from markovband import DEFAULT_SEED, run_calibration
 
@@ -22,6 +28,25 @@ TRIALS = 4000
 HORIZON = 12
 SIGMA = 1.0
 WALK_LENGTHS = (20, 50, 100, 200)
+
+
+def t_coverage(df: int, t: float = 1.0) -> float:
+    """P(|T| <= t) for Student-t with integer df >= 1 (A&S 26.7.3-4)."""
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    if df % 2:
+        # odd df: (2/pi) (theta + sin cos (1 + 2/3 cos^2 + 2*4/(3*5) cos^4 ...))
+        term, total = 1.0, 0.0
+        for j in range(1, (df - 1) // 2 + 1):
+            total += term
+            term *= c2 * (2 * j) / (2 * j + 1)
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    # even df: sin (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ...)
+    term, total = 1.0, 0.0
+    for j in range(1, df // 2 + 1):
+        total += term
+        term *= c2 * (2 * j - 1) / (2 * j)
+    return math.sin(theta) * total
 
 
 def main() -> None:
@@ -34,7 +59,7 @@ def main() -> None:
     print()
     header = "length  est/true  accept  sig-rel-err  " + "  ".join(
         f"k={k:<4d}" for k in range(1, HORIZON + 1, 3)
-    ) + "  min..max"
+    ) + "  min..max  exact"
     print(header)
     print("-" * len(header))
     for length in WALK_LENGTHS:
@@ -49,14 +74,15 @@ def main() -> None:
             )
             cov = rep.coverage_per_step
             picks = "  ".join(f"{cov[k - 1]:.3f}" for k in range(1, HORIZON + 1, 3))
+            exact = math.erf(1.0 / math.sqrt(2.0)) if use_true else t_coverage(length - 2)
             print(
                 f"{length:6d}  {'true' if use_true else 'est ':>8}  "
                 f"{rep.markov_acceptance_rate:.3f}   {rep.sigma_hat_rel_error:>10.4f}  "
-                f"{picks}  {min(cov):.3f}..{max(cov):.3f}"
+                f"{picks}  {min(cov):.3f}..{max(cov):.3f}  {exact:.4f}"
             )
     print()
-    print("one-sigma normal mass = 0.6827; flat rows near it mean the bands")
-    print("are calibrated, and estimated sigma costs a point or two of coverage")
+    print("one-sigma normal mass = 0.6827; flat rows near the exact column mean")
+    print("the bands are calibrated, and estimated sigma costs what the t law says")
 
 
 if __name__ == "__main__":

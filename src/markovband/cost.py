@@ -16,17 +16,16 @@ prediction band scales edge by edge, and sampled paths scale path by path.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence, Union
-
 import csv
 import io
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .forecast import ForecastBand, sample_paths
+from .series import Source, read_text
 
 __all__ = [
     "CostRates",
@@ -201,25 +200,13 @@ def sample_costs(
     return sample_paths(x0, sigma, horizon, count, seed) * summary.per_interruption
 
 
-Source = Union[str, Path, IO[str], IO[bytes]]
-
-
-def _read_text(source: Source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    raw = source.read()
-    if isinstance(raw, bytes):
-        return raw.decode("utf-8")
-    return raw
-
-
 def load_events(source: Source) -> list[MonthlyEvents]:
     """Read monthly event counts from CSV (one row per month, in order).
 
     The header must contain the columns delays, cancellations, diversions,
     air_turnbacks, and spares, in any order; extra columns are ignored.
     """
-    reader = csv.DictReader(io.StringIO(_read_text(source)))
+    reader = csv.DictReader(io.StringIO(read_text(source)))
     header = reader.fieldnames or []
     missing = [name for name in _EVENT_FIELDS if name not in header]
     if missing:
@@ -250,7 +237,7 @@ def load_rates(source: Source) -> CostRates:
     and spare; blank lines and '#' comments are ignored.
     """
     values: dict[str, float] = {}
-    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(source).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

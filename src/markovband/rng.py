@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "BLOCK_PATHS", "substream", "standard_normal_matrix"]
+__all__ = [
+    "DEFAULT_SEED",
+    "BLOCK_PATHS",
+    "substream",
+    "substream_rows",
+    "standard_normal_matrix",
+]
 
 #: Documented default seed for every CLI command and simulation entry point.
 DEFAULT_SEED = 1729
@@ -28,6 +34,30 @@ def substream(seed: int, stream: int) -> np.random.Generator:
         raise ValueError(f"stream must be an integer in [0, 2**64), got {stream!r}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def substream_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
+    """Rows start..stop-1 of a noise matrix whose row t is drawn from stream t.
+
+    Row t is bitwise ``substream(seed, t).standard_normal(cols)``.  One
+    generator is built and rewound to a fresh state keyed ``(seed, t)``
+    before each row, which skips the per-stream construction cost.
+    """
+    if not 0 <= start < stop <= 2**64:
+        raise ValueError(
+            f"stream range must satisfy 0 <= start < stop <= 2**64, "
+            f"got [{start}, {stop})"
+        )
+    gen = substream(seed, start)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state  # counter 0, empty buffer, key (seed, start)
+    key = fresh["state"]["key"]
+    out = np.empty((stop - start, cols))
+    for row, stream in zip(out, range(start, stop)):
+        key[1] = stream
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    return out
 
 
 def standard_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:

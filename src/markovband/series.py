@@ -28,7 +28,7 @@ __all__ = [
 
 
 class SeriesFormatError(ValueError):
-    """Raised when CSV input cannot be turned into a numeric series."""
+    """Raised when input is not UTF-8 text or CSV that forms a numeric series."""
 
 
 class DegenerateSeriesError(ValueError):
@@ -115,14 +115,15 @@ def difference(series: TimeSeries) -> ErrorSequence:
 Source = Union[str, Path, IO[str], IO[bytes]]
 
 
-def _read_text(source: Source) -> str:
+def read_text(source: Source) -> str:
+    """Text of a path or open stream; bytes are UTF-8 with an optional BOM."""
     if isinstance(source, (str, Path)):
         raw: Union[str, bytes] = Path(source).read_bytes()
     else:
         raw = source.read()
     if isinstance(raw, bytes):
         try:
-            return raw.decode("utf-8")
+            return raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise SeriesFormatError(f"input is not valid UTF-8 text: {exc}") from exc
     return raw
@@ -156,7 +157,7 @@ def load_series(source: Source, column: int | str | None = None) -> TimeSeries:
     of the first row; selecting a column by name requires a header.  When the
     value column is not the first one, the first column is kept as labels.
     """
-    text = _read_text(source)
+    text = read_text(source)
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise SeriesFormatError("input contains no rows")

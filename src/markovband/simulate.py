@@ -12,21 +12,26 @@ the calibrated outcome; coverage near 1.0 would signal a bug, not success.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .markov import MIN_CHECK_LENGTH, check_markov
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, substream, substream_rows
 from .series import TimeSeries
-from .swilk import RULE_PAPER_THRESHOLD
+from .swilk import RULE_PAPER_THRESHOLD, sw_pvalue, sw_statistic, validate_decision
 
 __all__ = ["SimulationReport", "generate_walk", "run_calibration"]
 
 MIN_TRIALS = 100
 MIN_WALK_LENGTH = 10
+
+#: Size cap of one block's walk matrix; calibration trials run in blocks.
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,17 @@ def generate_walk(x0: float, sigma: float, length: int, seed: int) -> TimeSeries
     return TimeSeries(values=_walk_values(x0, sigma, length - 1, substream(seed, 0)))
 
 
+def _raise_refusal(histories: np.ndarray, p: float, rule: str) -> NoReturn:
+    """Raise what the per-trial check raises on the first history it refuses.
+
+    The scalar check computes the same values as the batched one, so it
+    refuses every history that made the block fail.
+    """
+    for values in histories:
+        check_markov(TimeSeries(values=values), p=p, rule=rule)
+    raise AssertionError("the per-trial check refused none of the histories")
+
+
 def run_calibration(
     trials: int = 2000,
     walk_length: int = 50,
@@ -107,6 +123,10 @@ def run_calibration(
     (or the true sigma when ``use_true_sigma`` is set).  Per-trial
     substreams make the report a pure function of its arguments and allow
     trials to be recomputed independently.
+
+    Trials run as array code in blocks of :data:`BLOCK_BYTES` of walk
+    matrix; the report is bitwise what one check per trial gives, and a
+    history the check refuses raises the same error.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
@@ -120,21 +140,45 @@ def run_calibration(
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
 
     assert walk_length >= MIN_CHECK_LENGTH
-    steps = np.arange(1, horizon + 1, dtype=float)
-    root_k = np.sqrt(steps)
+    n_errors = walk_length - 1
+    width = walk_length + horizon
+    block = max(1, BLOCK_BYTES // (8 * width))
+    root_k = np.sqrt(np.arange(1, horizon + 1, dtype=float))
     accepted = 0
-    covered = np.zeros(horizon)
+    covered = np.zeros(horizon, dtype=np.int64)
     sigma_hat_sum = 0.0
-    for t in range(trials):
-        values = _walk_values(0.0, sigma, walk_length - 1 + horizon, substream(seed, t))
-        history = TimeSeries(values=values[:walk_length])
-        verdict = check_markov(history, p=p, rule=rule)
-        accepted += verdict.is_markov
-        sigma_hat_sum += verdict.error_stddev
-        band_sigma = sigma if use_true_sigma else verdict.error_stddev
-        x_last = values[walk_length - 1]
-        future = values[walk_length:]
-        covered += np.abs(future - x_last) <= root_k * band_sigma
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        walks = np.empty((stop - start, width))
+        walks[:, 0] = 0.0
+        # x0 + cumsum with x0 = 0.0, as _walk_values forms it (-0.0 -> 0.0).
+        walks[:, 1:] = 0.0 + np.cumsum(
+            substream_rows(seed, start, stop, width - 1) * sigma, axis=1
+        )
+        history = walks[:, :walk_length]
+        w = None
+        if np.all(np.isfinite(history)):
+            errors = np.diff(history, axis=1)
+            variance = errors.var(axis=1, ddof=1)
+            if not np.any(variance == 0.0):
+                with contextlib.suppress(ValueError):
+                    w = sw_statistic(errors)
+        if w is None:
+            _raise_refusal(history, p, rule)
+        # The per-trial check refuses a history before it looks at p and rule.
+        validate_decision(p, rule)
+        if rule == RULE_PAPER_THRESHOLD:
+            accepted += int(np.count_nonzero(w >= 1.0 - 2.0 * p))
+        else:
+            accepted += sum(sw_pvalue(x, n_errors) >= p for x in w.tolist())
+        sigma_hat = np.sqrt(variance)
+        for s in sigma_hat.tolist():  # sequential, in trial order
+            sigma_hat_sum += s
+        band_sigma = sigma if use_true_sigma else sigma_hat[:, None]
+        x_last = walks[:, walk_length - 1 : walk_length]
+        covered += np.count_nonzero(
+            np.abs(walks[:, walk_length:] - x_last) <= root_k * band_sigma, axis=0
+        )
 
     sigma_hat_mean = sigma_hat_sum / trials
     return SimulationReport(

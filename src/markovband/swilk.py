@@ -43,6 +43,7 @@ __all__ = [
     "sw_pvalue",
     "sw_decide",
     "sw_test",
+    "validate_decision",
 ]
 
 MIN_SAMPLE = 3
@@ -140,31 +141,40 @@ def sw_coefficients(n: int) -> SWCoefficients:
     return SWCoefficients(n=n, a=a)
 
 
-def sw_statistic(sample: np.ndarray) -> float:
-    """W statistic of a sample of 3..5000 values.
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of matching last-axis rows, one BLAS dot per row."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
-    The computation starts by sorting, so any permutation of the same values
-    yields the bitwise-identical result.  Raises
-    :class:`InapplicableSampleError` when all values are equal (the
-    denominator vanishes and W is undefined).
+
+def sw_statistic(sample: np.ndarray) -> float | np.ndarray:
+    """W statistic of each last-axis row of 3..5000 values.
+
+    A 1-D sample gives a float; a ``(..., n)`` batch gives one W per row,
+    each bitwise equal to the 1-D call on that row.  Each row is sorted
+    first, so any permutation of the same values yields the
+    bitwise-identical result.  Raises :class:`InapplicableSampleError` when
+    all values of a row are equal (the denominator vanishes and W is
+    undefined).
     """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
+    x = np.array(sample, dtype=float, order="C", ndmin=1)
+    x.sort(axis=-1)
+    n = x.shape[-1]
     if not MIN_SAMPLE <= n <= MAX_SAMPLE:
         raise ValueError(
             f"sample size must be in [{MIN_SAMPLE}, {MAX_SAMPLE}], got {n}"
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("sample values must be finite")
-    centered = x - x.mean()
-    ss = float(centered @ centered)
-    if ss == 0.0:
+    centered = x - x.mean(axis=-1, keepdims=True)
+    ss = _row_dot(centered, centered)
+    if np.any(ss == 0.0):
         raise InapplicableSampleError(
             "sample spread is zero (values all equal, or indistinguishable "
             "at float precision); the W statistic is undefined"
         )
-    b = float(sw_coefficients(n).a @ x)
-    return b * b / ss
+    b = _row_dot(x, sw_coefficients(n).a)
+    w = b * b / ss
+    return float(w) if x.ndim == 1 else w
 
 
 def sw_pvalue(w: float, n: int) -> float:
@@ -202,6 +212,14 @@ def sw_pvalue(w: float, n: int) -> float:
     return norm_cdf(-(y - mu) / sigma)
 
 
+def validate_decision(p: float, rule: str) -> None:
+    """Check a significance level and decision rule name."""
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
+    if rule not in RULES:
+        raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
+
+
 def sw_decide(
     w: float, n: int, p: float = 0.05, rule: str = RULE_PAPER_THRESHOLD
 ) -> SWResult:
@@ -210,19 +228,14 @@ def sw_decide(
     Under ``paper-threshold`` the sample is affirmed normal when
     W >= 1 - 2p; under ``p-value`` when the p-value of W is >= p.
     """
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
+    validate_decision(p, rule)
     if rule == RULE_PAPER_THRESHOLD:
         threshold = 1.0 - 2.0 * p
         return SWResult(
             w=w, n=n, threshold=threshold, rule=rule, normal=w >= threshold
         )
-    if rule == RULE_P_VALUE:
-        pv = sw_pvalue(w, n)
-        return SWResult(
-            w=w, n=n, threshold=p, rule=rule, normal=pv >= p, p_value=pv
-        )
-    raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
+    pv = sw_pvalue(w, n)
+    return SWResult(w=w, n=n, threshold=p, rule=rule, normal=pv >= p, p_value=pv)
 
 
 def sw_test(

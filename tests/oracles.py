@@ -1,6 +1,6 @@
 """Independent reference implementations used to validate the package.
 
-Nothing here imports from markovband's internals beyond public dataclasses;
+Nothing here imports from markovband's internals beyond its public API;
 each oracle recomputes its target quantity from the defining formula by a
 different route than the library takes.
 """
@@ -8,6 +8,11 @@ different route than the library takes.
 from __future__ import annotations
 
 import numpy as np
+
+from markovband.markov import check_markov
+from markovband.rng import substream
+from markovband.series import TimeSeries
+from markovband.simulate import SimulationReport
 
 
 def mc_order_stat_weights(
@@ -78,4 +83,49 @@ def oracle_asc(months, rates) -> float:
                 for m in months
             ]
         )
+    )
+
+
+def reference_calibration(
+    trials: int,
+    walk_length: int,
+    sigma: float,
+    horizon: int,
+    p: float,
+    rule: str,
+    seed: int,
+    use_true_sigma: bool = False,
+) -> SimulationReport:
+    """The calibration harness as one scalar Markov check per trial.
+
+    Trial t builds its walk from ``substream(seed, t)``, checks the history
+    with ``check_markov`` and counts the future steps inside the band, so
+    every quantity comes from the public scalar path.  The batched
+    ``run_calibration`` must reproduce this report exactly.
+    """
+    root_k = np.sqrt(np.arange(1, horizon + 1, dtype=float))
+    accepted = 0
+    covered = np.zeros(horizon)
+    sigma_hat_sum = 0.0
+    for t in range(trials):
+        noise = substream(seed, t).standard_normal(walk_length - 1 + horizon) * sigma
+        values = np.empty(walk_length + horizon)
+        values[0] = 0.0
+        values[1:] = 0.0 + np.cumsum(noise)
+        verdict = check_markov(TimeSeries(values=values[:walk_length]), p=p, rule=rule)
+        accepted += verdict.is_markov
+        sigma_hat_sum += verdict.error_stddev
+        band_sigma = sigma if use_true_sigma else verdict.error_stddev
+        x_last = values[walk_length - 1]
+        covered += np.abs(values[walk_length:] - x_last) <= root_k * band_sigma
+    sigma_hat_mean = sigma_hat_sum / trials
+    return SimulationReport(
+        trials=trials,
+        walk_length=walk_length,
+        horizon=horizon,
+        true_sigma=float(sigma),
+        markov_acceptance_rate=accepted / trials,
+        coverage_per_step=tuple(float(c) for c in covered / trials),
+        sigma_hat_mean=sigma_hat_mean,
+        sigma_hat_rel_error=abs(sigma_hat_mean - sigma) / sigma,
     )

@@ -20,6 +20,7 @@ from markovband.cost import (
     summarize_costs,
 )
 from markovband.forecast import make_band, sample_paths
+from markovband.series import SeriesFormatError
 
 WORKED_RATES = CostRates(
     delay=10_000.0,
@@ -182,6 +183,19 @@ def test_load_events_non_integer_names_row():
     text = EVENTS_CSV.replace("1,0,0,0,0", "1,0,x,0,0")
     with pytest.raises(ValueError, match="month row 2"):
         load_events(io.StringIO(text))
+
+
+def test_load_events_skips_a_utf8_bom():
+    months = load_events(io.BytesIO(b"\xef\xbb\xbf" + EVENTS_CSV.encode()))
+    assert months[0] == WORKED_MONTH
+
+
+def test_load_events_and_rates_name_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"delays\n\xff\n")
+    for load in (load_events, load_rates):
+        with pytest.raises(SeriesFormatError, match="not valid UTF-8"):
+            load(path)
 
 
 def test_load_events_empty():

@@ -163,6 +163,11 @@ def test_load_column_index_out_of_range():
         load_series(io.StringIO("1,2\n3,4\n"), column=5)
 
 
+def test_load_skips_a_utf8_bom():
+    series = load_series(io.BytesIO(b"\xef\xbb\xbf1.0\n2.0\n3.5\n"))
+    assert series.values.tolist() == [1.0, 2.0, 3.5]
+
+
 def test_load_invalid_utf8():
     with pytest.raises(SeriesFormatError, match="UTF-8"):
         load_series(io.BytesIO(b"\xff\xfe1\n2\n"))

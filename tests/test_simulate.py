@@ -1,12 +1,22 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from markovband.rng import substream
+from markovband.rng import DEFAULT_SEED, substream
 from markovband.series import difference
-from markovband.simulate import SimulationReport, generate_walk, run_calibration
-from markovband.swilk import RULE_P_VALUE
+from markovband.simulate import (
+    BLOCK_BYTES,
+    MIN_TRIALS,
+    SimulationReport,
+    generate_walk,
+    run_calibration,
+)
+from markovband.swilk import RULE_P_VALUE, RULE_PAPER_THRESHOLD, RULES
+from oracles import reference_calibration
 
 REPORT_FIELDS = [
     "trials",
@@ -125,3 +135,73 @@ def test_report_serialization_round_trip():
         **{**payload, "coverage_per_step": tuple(payload["coverage_per_step"])}
     )
     assert rebuilt == report
+
+
+# ------------------------------------------------ batched against the loop
+
+
+def _block_rows(walk_length, horizon):
+    return max(1, BLOCK_BYTES // (8 * (walk_length + horizon)))
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("use_true_sigma", [False, True])
+@pytest.mark.parametrize("walk_length", [10, 11, 12, 50, 1001])
+def test_calibration_equals_the_per_trial_loop(walk_length, use_true_sigma, rule):
+    horizon = 5
+    block = _block_rows(walk_length, horizon)
+    trials = max(MIN_TRIALS, block + 1 + block // 3)
+    assert trials % block != 0
+    args = dict(trials=trials, walk_length=walk_length, sigma=1.3,
+                horizon=horizon, p=0.05, rule=rule,
+                seed=2**64 - 1 if use_true_sigma else 0,
+                use_true_sigma=use_true_sigma)
+    report = run_calibration(**args)
+    reference = reference_calibration(**args)
+    assert report == reference
+    assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(sigma=1e308),                     # the history overflows to inf
+    dict(walk_length=5002),                # 5001 errors: past Royston's range
+    dict(sigma=5e-324),                    # noise underflows: zero variance
+    dict(sigma=5e-324, p=0.6),             # the refusal comes before the p check
+    dict(sigma=1e308, rule="no-such-rule"),
+])
+def test_calibration_refuses_like_the_per_trial_loop(overrides):
+    args = {**dict(trials=MIN_TRIALS, walk_length=20, sigma=1.0, horizon=3,
+                   p=0.05, rule=RULE_PAPER_THRESHOLD, seed=4), **overrides}
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as loop:
+            reference_calibration(**args)
+        with pytest.raises(ValueError) as batched:
+            run_calibration(**args)
+    assert type(batched.value) is type(loop.value)
+    assert str(batched.value) == str(loop.value)
+
+
+@pytest.mark.parametrize("walk_length, table", [
+    (10, 0.6534), (20, 0.6694), (50, 0.6777), (200, 0.6815),
+])
+def test_calibration_coverage_matches_exact_t_law(walk_length, table):
+    # (x_{L-1+k} - x_{L-1}) / (sqrt(k) * sigma-hat) is Student-t with L-2
+    # degrees of freedom, so each step covers with P(|T| <= 1) exactly.
+    trials = 20_000
+    expect = 2.0 * stats.t.cdf(1.0, walk_length - 2) - 1.0
+    assert expect == pytest.approx(table, abs=5e-5)
+    se = np.sqrt(expect * (1.0 - expect) / trials)
+    report = run_calibration(trials=trials, walk_length=walk_length,
+                             horizon=12, seed=DEFAULT_SEED)
+    z = (np.asarray(report.coverage_per_step) - expect) / se
+    assert np.max(np.abs(z)) < 4.0, (expect, report.coverage_per_step)
+
+
+def test_coverage_script_closed_form_matches_scipy():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
+    spec = importlib.util.spec_from_file_location("coverage_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for df in range(1, 300):
+        expect = 2.0 * stats.t.cdf(1.0, df) - 1.0
+        assert script.t_coverage(df) == pytest.approx(expect, abs=1e-13)

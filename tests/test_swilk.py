@@ -108,6 +108,36 @@ def test_statistic_rejects_constant_sample():
         sw_statistic([2.0, 2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("n", [3, 4, 11, 12, 50, 1001])
+def test_statistic_batch_rows_equal_the_scalar_call_bitwise(n):
+    gen = np.random.default_rng(n)
+    x = gen.standard_normal((6, n)) * gen.uniform(0.5, 50.0, size=(6, 1))
+    scalar = np.array([sw_statistic(row) for row in x])
+    assert isinstance(sw_statistic(x[0]), float)
+    np.testing.assert_array_equal(sw_statistic(x), scalar)
+    np.testing.assert_array_equal(sw_statistic(x.reshape(2, 3, n)), scalar.reshape(2, 3))
+    np.testing.assert_array_equal(sw_statistic(x[:1]), scalar[:1])
+    np.testing.assert_array_equal(sw_statistic(np.asfortranarray(x)), scalar)
+    wide = np.zeros((6, 2 * n))
+    wide[:, ::2] = x
+    np.testing.assert_array_equal(sw_statistic(wide[:, ::2]), scalar)
+    np.testing.assert_array_equal(sw_statistic(x[::-1]), scalar[::-1])
+
+
+def test_statistic_batch_row_checks():
+    x = substream(REGRESSION_SEED, 0).standard_normal((3, 20))
+    constant = x.copy()
+    constant[1] = 2.0
+    with pytest.raises(InapplicableSampleError):
+        sw_statistic(constant)
+    non_finite = x.copy()
+    non_finite[2, 7] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        sw_statistic(non_finite)
+    with pytest.raises(ValueError, match="sample size"):
+        sw_statistic(np.ones((4, 2)))
+
+
 @pytest.mark.parametrize("sample", [[1.0, 2.0], list(range(MAX_SAMPLE + 1))])
 def test_statistic_rejects_bad_sizes(sample):
     with pytest.raises(ValueError):
