@@ -20,6 +20,7 @@ from .cost import (
     cost_band,
     load_events,
     load_rates,
+    sample_cost_moments,
     sample_costs,
     summarize_costs,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "norm_cdf",
     "norm_ppf",
     "run_calibration",
+    "sample_cost_moments",
     "sample_costs",
     "sample_paths",
     "standard_normal_matrix",

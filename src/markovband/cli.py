@@ -15,7 +15,13 @@ import sys
 
 import numpy as np
 
-from .cost import cost_band, load_events, load_rates, sample_costs, summarize_costs
+from .cost import (
+    cost_band,
+    load_events,
+    load_rates,
+    sample_cost_moments,
+    summarize_costs,
+)
 from .forecast import ForecastBand, band
 from .markov import MarkovVerdict, check_markov
 from .rng import DEFAULT_SEED
@@ -41,6 +47,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"a sample stddev needs at least two paths, got {text}"
+        )
     return value
 
 
@@ -119,16 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cost.add_argument(
         "--sample",
-        type=_positive_int,
+        type=_sample_count,
         default=None,
         metavar="N",
-        help="also simulate N cost paths and report per-step mean/stddev",
+        help="also simulate N >= 2 cost paths and report per-step mean/stddev",
     )
     p_cost.add_argument(
         "--seed",
         type=int,
         default=DEFAULT_SEED,
         help=f"seed for --sample (default: {DEFAULT_SEED})",
+    )
+    p_cost.add_argument(
+        "--force",
+        action="store_true",
+        help="emit the costs even when the series fails the Markov check",
     )
     p_cost.set_defaults(func=_cmd_cost)
 
@@ -210,23 +230,34 @@ def _band_payload(b: ForecastBand) -> dict:
     }
 
 
+def _refused(verdict: MarkovVerdict, force: bool, action: str, output: str) -> bool:
+    """Whether a non-Markov series stops the command; say why on stderr.
+
+    With ``force`` the command goes on under a warning.
+    """
+    if verdict.is_markov:
+        return False
+    if not force:
+        print(
+            f"refusing to {action}: series is not Markov {_MODEL_NOTE} "
+            f"(W={verdict.sw.w:.6g}, threshold={verdict.sw.threshold:.6g}); "
+            f"pass --force to emit the {output} anyway",
+            file=sys.stderr,
+        )
+        return True
+    print(
+        f"warning: series failed the Markov check {_MODEL_NOTE}; "
+        f"{output} emitted because --force was given",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input)
     verdict = check_markov(series, p=args.p, rule=args.rule)
-    if not verdict.is_markov:
-        if not args.force:
-            print(
-                f"refusing to forecast: series is not Markov {_MODEL_NOTE} "
-                f"(W={verdict.sw.w:.6g}, threshold={verdict.sw.threshold:.6g}); "
-                "pass --force to emit the band anyway",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"warning: series failed the Markov check {_MODEL_NOTE}; "
-            "band emitted because --force was given",
-            file=sys.stderr,
-        )
+    if _refused(verdict, args.force, "forecast", "band"):
+        return 1
     b = band(series, args.horizon)
     if args.format == "plot-csv":
         print("k,lower,x0,upper")
@@ -242,6 +273,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     months = load_events(args.events)
     rates = load_rates(args.rates)
     summary = summarize_costs(months, rates)
+    if _refused(check_markov(series), args.force, "cost the forecast", "costs"):
+        return 1
     b = band(series, args.horizon)
     cb = cost_band(b, summary)
     payload = {
@@ -254,7 +287,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         ],
     }
     if args.sample is not None:
-        costs = sample_costs(
+        mean, std = sample_cost_moments(
             b.x0, b.sigma, b.horizon, summary, args.sample, args.seed
         )
         payload["samples_summary"] = {
@@ -262,9 +295,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "per_step": [
                 {"k": k, "mean": float(m), "stddev": float(s)}
-                for k, (m, s) in enumerate(
-                    zip(costs.mean(axis=0), costs.std(axis=0, ddof=1)), start=1
-                )
+                for k, (m, s) in enumerate(zip(mean, std), start=1)
             ],
         }
     _emit(payload)

@@ -20,11 +20,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
-from .forecast import ForecastBand, sample_paths
+from .forecast import ForecastBand, check_walk, sample_paths, walk_in_place
+from .rng import row_blocks, stream_filler
 from .series import Source, read_text
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "summarize_costs",
     "cost_band",
     "sample_costs",
+    "sample_cost_moments",
     "load_events",
     "load_rates",
 ]
@@ -197,7 +199,186 @@ def sample_costs(
     elementwise multiplication with ``summary.per_interruption`` -- the cost
     paths are the count paths in dollars, draw for draw.
     """
-    return sample_paths(x0, sigma, horizon, count, seed) * summary.per_interruption
+    costs = sample_paths(x0, sigma, horizon, count, seed)
+    costs *= summary.per_interruption
+    return costs
+
+
+def sample_cost_moments(
+    x0: float,
+    sigma: float,
+    horizon: int,
+    summary: CostSummary,
+    count: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step mean and sample stddev of :func:`sample_costs`, without its matrix.
+
+    Returns ``(mean, std)``, bitwise ``costs.mean(axis=0)`` and
+    ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.  Two
+    passes regenerate the matrix's substream blocks on worker threads, one
+    to sum the costs and one to sum their squared deviations from the mean;
+    the calling thread adds the blocks up in row order, as numpy reduces
+    the whole matrix.  Memory is a few blocks, whatever ``count`` is.  A
+    count that fits in one block is summarised from its matrix, drawn once.
+    ``count`` must be at least 2, the fewest paths a sample stddev needs.
+    """
+    check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 2))
+    blocks = row_blocks(count)
+    if len(blocks) == 1:
+        costs = sample_costs(x0, sigma, horizon, summary, count, seed)
+        return costs.mean(axis=0), costs.std(axis=0, ddof=1)
+    rate = summary.per_interruption
+
+    def fill_costs(fill, block: int, rows: np.ndarray) -> None:
+        fill(block, rows)
+        walk_in_place(rows, x0, sigma)
+        rows *= rate
+
+    mean = _column_sums(fill_costs, seed, blocks, horizon) / count
+
+    def fill_deviations(fill, block: int, rows: np.ndarray) -> None:
+        fill_costs(fill, block, rows)
+        rows -= mean
+        np.square(rows, out=rows)
+
+    squares = _column_sums(fill_deviations, seed, blocks, horizon)
+    return mean, np.sqrt(squares / (count - 1))
+
+
+def _worker_count() -> int:
+    """Threads that fill sample blocks: the CPUs this process may run on."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _column_sums(
+    work: Callable, seed: int, blocks: list[slice], cols: int
+) -> np.ndarray:
+    """Column sums of the matrix whose row block b ``work`` writes, block by block.
+
+    ``work(fill, b, rows)`` overwrites ``rows`` with block b of the matrix,
+    drawing from the :func:`~markovband.rng.stream_filler` ``fill``.  The
+    result is bitwise ``np.add.reduce(matrix, axis=0)``.  numpy adds the
+    rows of a matrix with several columns one after another, so the running
+    sums go in a carry row above each block and the block is reduced with
+    them.  A single column is one contiguous run, which numpy sums pairwise
+    (:func:`_pairwise_sum`).
+    """
+    bufs = _blocks_in_order(work, seed, blocks, cols)
+    try:
+        if cols == 1:
+            return np.array([_pairwise_sum((buf[1:, 0] for buf in bufs), blocks)])
+        sums = None
+        for buf in bufs:
+            if sums is None:
+                sums = np.add.reduce(buf[1:], axis=0)
+            else:
+                buf[0] = sums
+                sums = np.add.reduce(buf, axis=0)
+        return sums
+    finally:
+        bufs.close()  # stops and joins the worker threads
+
+
+#: numpy sums a contiguous run of at most this many floats without splitting it.
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_sum(pieces: Iterator[np.ndarray], blocks: list[slice]) -> float:
+    """``np.add.reduce`` of the concatenated pieces, one per row block, bitwise.
+
+    numpy splits a run of more than ``_PAIRWISE_LEAF`` values at half its
+    length rounded down to a multiple of 8, sums both halves the same way
+    and adds the two sums.  A run inside one block is summed by
+    ``np.add.reduce`` on that block; runs that cross a block boundary are
+    split further, down to runs short enough to copy into one array.
+    """
+    height = blocks[0].stop
+    window, start = np.empty(0), 0  # values start .. start + len(window) - 1
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        nonlocal window, start
+        while hi > start + len(window):
+            keep = min(lo, start + len(window))
+            window = np.concatenate((window[keep - start :], next(pieces)))
+            start = keep
+        return window[lo - start : hi - start]
+
+    def node(lo: int, hi: int) -> float:
+        n = hi - lo
+        if n <= _PAIRWISE_LEAF or lo // height == (hi - 1) // height:
+            return np.add.reduce(run(lo, hi))
+        half = n // 2 - n // 2 % 8
+        return node(lo, lo + half) + node(lo + half, hi)
+
+    return node(0, blocks[-1].stop)
+
+
+def _blocks_in_order(
+    work: Callable, seed: int, blocks: list[slice], cols: int
+) -> Generator[np.ndarray, None, None]:
+    """Yield, block by block in order, a buffer whose rows 1.. ``work`` filled.
+
+    Each yielded buffer has ``1 + height`` rows for a block of ``height``
+    rows; row 0 is free for the caller.  Blocks are filled on worker
+    threads, one per CPU, each with its own filler; numpy releases the GIL
+    while it draws and computes.  At most workers + 1 buffers exist, and a
+    buffer is reused once the caller asks for the next block.
+    """
+    import threading
+
+    workers = min(_worker_count(), len(blocks))
+    fillers = [stream_filler(seed) for _ in range(workers)]
+    free = [np.empty((1 + blocks[0].stop, cols)) for _ in range(workers + 1)]
+    ready: dict[int, tuple] = {}
+    cond = threading.Condition()
+    claimed = 0
+    stop = False
+
+    def run(fill) -> None:
+        nonlocal claimed
+        while True:
+            with cond:
+                cond.wait_for(lambda: stop or claimed == len(blocks) or free)
+                if stop or claimed == len(blocks):
+                    return
+                block, buf = claimed, free.pop()
+                claimed += 1
+            rows = blocks[block]
+            out = buf[: 1 + rows.stop - rows.start]
+            try:
+                work(fill, block, out[1:])
+                result = (buf, out, None)
+            except BaseException as exc:  # re-raised on the calling thread
+                result = (buf, out, exc)
+            with cond:
+                ready[block] = result
+                cond.notify_all()
+
+    threads = [threading.Thread(target=run, args=(fill,)) for fill in fillers]
+    for thread in threads:
+        thread.start()
+    try:
+        for block in range(len(blocks)):
+            with cond:
+                cond.wait_for(lambda: block in ready)
+                buf, out, exc = ready.pop(block)
+            if exc is not None:
+                raise exc
+            yield out
+            with cond:
+                free.append(buf)
+                cond.notify_all()
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def load_events(source: Source) -> list[MonthlyEvents]:

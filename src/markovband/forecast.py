@@ -17,7 +17,14 @@ import numpy as np
 from .rng import standard_normal_matrix
 from .series import DegenerateSeriesError, TimeSeries, difference
 
-__all__ = ["ForecastBand", "make_band", "band", "sample_paths"]
+__all__ = [
+    "ForecastBand",
+    "check_walk",
+    "make_band",
+    "band",
+    "walk_in_place",
+    "sample_paths",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,18 +49,29 @@ class ForecastBand:
         return np.arange(1, self.horizon + 1)
 
 
+def check_walk(x0: float, sigma: float, *counts: tuple[str, int, int]) -> None:
+    """Validate the parameters of a random walk from x0 with step scale sigma.
+
+    x0 must be finite and sigma finite and non-negative; each
+    ``(name, value, least)`` in ``counts`` requires ``value >= least``.
+    Raises ValueError naming the first parameter that fails.
+    """
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    for name, value, least in counts:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def make_band(x0: float, sigma: float, horizon: int) -> ForecastBand:
     """Band x0 +/- sqrt(k)*sigma for k = 1..horizon from explicit parameters.
 
     ``sigma`` may be zero (a deliberately flat band); it must be finite and
     non-negative, and ``horizon`` at least 1.
     """
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_walk(x0, sigma, ("horizon", horizon, 1))
     k = np.arange(1, horizon + 1, dtype=float)
     half = np.sqrt(k) * sigma
     # Snap each half-width onto the float grid at |x0| so that x0 + off and
@@ -85,6 +103,17 @@ def band(series: TimeSeries, horizon: int) -> ForecastBand:
     return make_band(float(series.values[-1]), errors.stddev, horizon)
 
 
+def walk_in_place(noise: np.ndarray, x0: float, sigma: float) -> None:
+    """Turn rows of standard normal noise into walks x0 + cumsum(noise * sigma).
+
+    Each row of ``noise`` becomes one path; the ops are those of
+    :func:`sample_paths`, done in place, so the values are the same bits.
+    """
+    noise *= sigma
+    np.cumsum(noise, axis=1, out=noise)
+    noise += x0
+
+
 def sample_paths(
     x0: float, sigma: float, horizon: int, count: int, seed: int
 ) -> np.ndarray:
@@ -95,13 +124,7 @@ def sample_paths(
     deterministic function of (x0, sigma, horizon, count, seed); the noise
     comes from fixed Philox substreams of ``seed``.
     """
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    noise = standard_normal_matrix(seed, count, horizon) * sigma
-    return x0 + np.cumsum(noise, axis=1)
+    check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 1))
+    paths = standard_normal_matrix(seed, count, horizon)
+    walk_in_place(paths, x0, sigma)
+    return paths

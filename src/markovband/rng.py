@@ -9,12 +9,16 @@ substream) while producing bit-identical results to a serial run.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
     "BLOCK_PATHS",
     "substream",
+    "stream_filler",
+    "row_blocks",
     "substream_rows",
     "standard_normal_matrix",
 ]
@@ -36,12 +40,45 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
+    """A function ``fill(stream, out)`` that draws ``out`` from stream ``stream``.
+
+    ``fill(t, out)`` fills ``out`` (C-contiguous) bitwise as
+    ``substream(seed, t).standard_normal(out.shape)`` would.  One generator
+    is built and rewound to a fresh state keyed ``(seed, t)`` on each call,
+    which skips the per-stream construction cost.  A filler holds one
+    generator: give each thread its own.
+    """
+    gen = substream(seed, 0)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state  # counter 0, empty buffer, key (seed, 0)
+    key = fresh["state"]["key"]
+
+    def fill(stream: int, out: np.ndarray) -> None:
+        key[1] = stream
+        bitgen.state = fresh
+        gen.standard_normal(out=out)
+
+    return fill
+
+
+def row_blocks(rows: int) -> list[slice]:
+    """Row slices of the substream blocks of a matrix with ``rows`` rows.
+
+    Block b is the b-th slice, of height ``BLOCK_PATHS`` (the last may be
+    shorter), and is drawn from stream b.
+    """
+    starts = range(0, rows, BLOCK_PATHS)
+    return [slice(start, min(start + BLOCK_PATHS, rows)) for start in starts]
+
+
 def substream_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
     """Rows start..stop-1 of a noise matrix whose row t is drawn from stream t.
 
-    Row t is bitwise ``substream(seed, t).standard_normal(cols)``.  One
-    generator is built and rewound to a fresh state keyed ``(seed, t)``
-    before each row, which skips the per-stream construction cost.
+    Row t is bitwise ``substream(seed, t).standard_normal(cols)``.  As in
+    :func:`stream_filler`, one generator is rewound to a fresh state keyed
+    ``(seed, t)`` before each row; the loop is written out because it runs
+    once per calibration trial.
     """
     if not 0 <= start < stop <= 2**64:
         raise ValueError(
@@ -69,10 +106,8 @@ def standard_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
+    fill = stream_filler(seed)
     out = np.empty((rows, cols))
-    for block, start in enumerate(range(0, rows, BLOCK_PATHS)):
-        height = min(BLOCK_PATHS, rows - start)
-        out[start : start + height] = substream(seed, block).standard_normal(
-            (height, cols)
-        )
+    for block, rows_b in enumerate(row_blocks(rows)):
+        fill(block, out[rows_b])
     return out

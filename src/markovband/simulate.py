@@ -20,6 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .forecast import check_walk
 from .markov import MIN_CHECK_LENGTH, check_markov
 from .rng import DEFAULT_SEED, substream, substream_rows
 from .series import TimeSeries
@@ -83,12 +84,7 @@ def generate_walk(x0: float, sigma: float, length: int, seed: int) -> TimeSeries
     N(0, sigma^2) draws from ``substream(seed, 0)``; the same arguments
     always produce the identical series.
     """
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if length < 2:
-        raise ValueError(f"walk length must be >= 2, got {length}")
+    check_walk(x0, sigma, ("walk length", length, 2))
     return TimeSeries(values=_walk_values(x0, sigma, length - 1, substream(seed, 0)))
 
 

@@ -207,6 +207,50 @@ def test_cost_sampling_summary(capsys, tmp_path):
     assert sampled["per_step"][2]["stddev"] == costs.std(axis=0, ddof=1)[2]
 
 
+def test_cost_sample_needs_two_paths(capsys, tmp_path):
+    series, events, rates = write_micro_fixtures(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "--input", str(series), "--events", str(events),
+              "--rates", str(rates), "--sample", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "a sample stddev needs at least two paths" in captured.err
+
+
+def test_cost_refuses_non_markov_without_force(capsys):
+    code, out, err = run_cli(
+        capsys, "cost", "--input", SKEWED, "--events", EVENTS, "--rates", RATES
+    )
+    assert code == 1
+    assert out == ""
+    assert "refusing to cost the forecast: series is not Markov" in err
+    assert "--force" in err
+
+
+def test_cost_force_overrides_refusal(capsys):
+    code, out, err = run_cli(
+        capsys, "cost", "--input", SKEWED, "--events", EVENTS, "--rates", RATES,
+        "--sample", "50", "--force",
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert len(payload["cost_bands"]) == 12
+    assert payload["samples_summary"]["count"] == 50
+    assert "warning" in err
+
+
+def test_cost_malformed_input_exits_2_before_the_markov_check(capsys, tmp_path):
+    events = tmp_path / "events.csv"
+    events.write_text("delays,cancellations\n1,2\n")
+    code, out, err = run_cli(
+        capsys, "cost", "--input", SKEWED, "--events", str(events), "--rates", RATES
+    )
+    assert code == 2
+    assert out == ""
+    assert "missing required columns" in err
+
+
 def test_cost_zero_interruption_month_exits_2(capsys, tmp_path):
     series, events, rates = write_micro_fixtures(tmp_path)
     events.write_text(

@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_adc, oracle_asc
 
+from markovband import cost
 from markovband.cost import (
     CostRates,
     CostSummary,
@@ -16,10 +20,12 @@ from markovband.cost import (
     cost_band,
     load_events,
     load_rates,
+    sample_cost_moments,
     sample_costs,
     summarize_costs,
 )
 from markovband.forecast import make_band, sample_paths
+from markovband.rng import BLOCK_PATHS
 from markovband.series import SeriesFormatError
 
 WORKED_RATES = CostRates(
@@ -150,6 +156,94 @@ def test_sample_costs_are_scaled_paths_bitwise():
     costs = sample_costs(10.0, 2.0, 6, summary, 400, seed=3)
     paths = sample_paths(10.0, 2.0, 6, 400, seed=3)
     assert np.array_equal(costs, paths * summary.per_interruption)
+
+
+def assert_matrix_moments(x0, sigma, horizon, summary, count, seed):
+    mean, std = sample_cost_moments(x0, sigma, horizon, summary, count, seed)
+    costs = sample_costs(x0, sigma, horizon, summary, count, seed)
+    expected_mean = costs.mean(axis=0)
+    expected_std = costs.std(axis=0, ddof=1)
+    assert mean.tobytes() == expected_mean.tobytes()  # bitwise, signed zeros too
+    assert std.tobytes() == expected_std.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 12])
+@pytest.mark.parametrize(
+    "count", [2, 400, BLOCK_PATHS, BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 7]
+)
+def test_sample_cost_moments_are_the_matrix_moments_bitwise(horizon, count):
+    summary = CostSummary(adc=22_500.0, asc=3_750.0, months=1)
+    assert_matrix_moments(10.0, 2.0, horizon, summary, count, seed=5)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_sample_cost_moments_keep_signed_zeros(horizon):
+    # Zero rates turn the negative paths into -0.0 costs; sigma 0 makes all of them.
+    summary = CostSummary(adc=0.0, asc=0.0, months=1)
+    assert_matrix_moments(-5.0, 1.0, horizon, summary, BLOCK_PATHS + 9, seed=2)
+    assert_matrix_moments(-5.0, 0.0, horizon, summary, 40, seed=2)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers):
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    count = 5 * BLOCK_PATHS + 3
+    expected = [
+        sample_cost_moments(3.0, 0.5, horizon, summary, count, seed=11)
+        for horizon in (1, 2)
+    ]
+    monkeypatch.setattr(cost, "_worker_count", lambda: workers)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+    try:
+        got = [
+            sample_cost_moments(3.0, 0.5, horizon, summary, count, seed=11)
+            for horizon in (1, 2)
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    for (mean, std), (want_mean, want_std) in zip(got, expected):
+        assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
+    assert threading.active_count() == threads
+
+
+def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
+    def fail_on_block_two(paths, x0, sigma):
+        if paths[0, 0] == 2.0:
+            raise RuntimeError("block 2 failed")
+
+    def fill_block_number(block, out):
+        out.fill(float(block))
+
+    monkeypatch.setattr(cost, "stream_filler", lambda seed: fill_block_number)
+    monkeypatch.setattr(cost, "walk_in_place", fail_on_block_two)
+    monkeypatch.setattr(cost, "_worker_count", lambda: 2)
+    threads = threading.active_count()
+    summary = CostSummary(adc=1.0, asc=0.0, months=1)
+    with pytest.raises(RuntimeError, match="block 2 failed"):
+        sample_cost_moments(0.0, 1.0, 4, summary, 6 * BLOCK_PATHS, seed=0)
+    assert threading.active_count() == threads
+
+
+def test_sample_cost_moments_memory_does_not_grow_with_count(monkeypatch):
+    # Two workers hold at most three blocks of 2**16 x 12 floats (6.3 MB each);
+    # the cost matrix itself would be 96 MB.
+    monkeypatch.setattr(cost, "_worker_count", lambda: 2)
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    tracemalloc.start()
+    try:
+        sample_cost_moments(10.0, 2.0, 12, summary, 1_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_sample_cost_moments_need_two_paths():
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    with pytest.raises(ValueError, match=r"^count must be >= 2, got 1$"):
+        sample_cost_moments(10.0, 2.0, 3, summary, 1, seed=0)
 
 
 # ----------------------------------------------------------------- loaders

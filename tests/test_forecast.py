@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovband.cost import CostSummary, sample_cost_moments
 from markovband.forecast import band, make_band, sample_paths
 from markovband.rng import BLOCK_PATHS
 from markovband.series import DegenerateSeriesError, TimeSeries, difference
@@ -12,6 +13,7 @@ from markovband.simulate import generate_walk
 
 finite_x0 = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 sigma_st = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False, width=64)
+SUMMARY = CostSummary(adc=1.0, asc=0.5, months=1)
 
 
 def test_worked_example_endpoints():
@@ -129,3 +131,33 @@ def test_sample_paths_validation():
         sample_paths(0.0, -1.0, 5, 10, seed=0)
     with pytest.raises(ValueError):
         sample_paths(0.0, 1.0, 5, 10, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_band(math.inf, 1.0, 3), "x0 must be finite, got inf"),
+        (lambda: make_band(0.0, -1.0, 3),
+         "sigma must be finite and >= 0, got -1.0"),
+        (lambda: make_band(0.0, 1.0, 0), "horizon must be >= 1, got 0"),
+        (lambda: sample_paths(math.nan, 1.0, 5, 10, seed=0),
+         "x0 must be finite, got nan"),
+        (lambda: sample_paths(0.0, math.inf, 5, 10, seed=0),
+         "sigma must be finite and >= 0, got inf"),
+        (lambda: sample_paths(0.0, 1.0, 0, 0, seed=0),
+         "horizon must be >= 1, got 0"),
+        (lambda: sample_paths(0.0, 1.0, 5, 0, seed=0), "count must be >= 1, got 0"),
+        (lambda: generate_walk(0.0, -2.0, 10, seed=0),
+         "sigma must be finite and >= 0, got -2.0"),
+        (lambda: generate_walk(0.0, 1.0, 1, seed=0),
+         "walk length must be >= 2, got 1"),
+        (lambda: sample_cost_moments(0.0, 1.0, 0, SUMMARY, 10, seed=0),
+         "horizon must be >= 1, got 0"),
+        (lambda: sample_cost_moments(0.0, 1.0, 3, SUMMARY, 1, seed=0),
+         "count must be >= 2, got 1"),
+    ],
+)
+def test_walk_parameter_errors_name_the_parameter(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -71,3 +71,15 @@ def test_schemas_reject_extra_fields():
            "drift_warning": False, "n_errors": 10, "surprise": 1}
     with pytest.raises(Exception):
         Draft202012Validator(schema).validate(bad)
+
+
+def test_cost_schema_needs_two_sampled_paths():
+    schema = load_schema("cost")
+    payload = {"adc": 1.0, "asc": 0.0, "per_interruption": 1.0,
+               "cost_bands": [{"k": 1, "lower": 0.5, "upper": 1.5}],
+               "samples_summary": {"count": 1, "seed": 0, "per_step": [
+                   {"k": 1, "mean": 1.0, "stddev": 0.0}]}}
+    with pytest.raises(Exception):
+        Draft202012Validator(schema).validate(payload)
+    payload["samples_summary"]["count"] = 2
+    Draft202012Validator(schema).validate(payload)
