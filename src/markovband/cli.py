@@ -148,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument(
         "--force",
         action="store_true",
-        help="emit the costs even when the series fails the Markov check",
+        help="emit the costs even when the series fails the Markov check "
+        "or is too short or too long for it",
     )
     p_cost.set_defaults(func=_cmd_cost)
 
@@ -273,8 +274,19 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     months = load_events(args.events)
     rates = load_rates(args.rates)
     summary = summarize_costs(months, rates)
-    if _refused(check_markov(series), args.force, "cost the forecast", "costs"):
-        return 1
+    try:
+        verdict = check_markov(series)
+    except ValueError as exc:  # a series the check cannot judge
+        if not args.force:
+            raise
+        print(
+            f"warning: the Markov check cannot judge this series ({exc}); "
+            "costs emitted because --force was given",
+            file=sys.stderr,
+        )
+    else:
+        if _refused(verdict, args.force, "cost the forecast", "costs"):
+            return 1
     b = band(series, args.horizon)
     cb = cost_band(b, summary)
     payload = {

@@ -20,7 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,12 +220,13 @@ def sample_cost_moments(
     to sum the costs and one to sum their squared deviations from the mean;
     the calling thread adds the blocks up in row order, as numpy reduces
     the whole matrix.  Memory is a few blocks, whatever ``count`` is.  A
-    count that fits in one block is summarised from its matrix, drawn once.
+    count that fits in one block is summarised from its matrix, drawn once,
+    and so is a horizon of 1, whose matrix is one float per path.
     ``count`` must be at least 2, the fewest paths a sample stddev needs.
     """
     check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 2))
     blocks = row_blocks(count)
-    if len(blocks) == 1:
+    if len(blocks) == 1 or horizon == 1:
         costs = sample_costs(x0, sigma, horizon, summary, count, seed)
         return costs.mean(axis=0), costs.std(axis=0, ddof=1)
     rate = summary.per_interruption
@@ -262,65 +263,25 @@ def _column_sums(
 
     ``work(fill, b, rows)`` overwrites ``rows`` with block b of the matrix,
     drawing from the :func:`~markovband.rng.stream_filler` ``fill``.  The
-    result is bitwise ``np.add.reduce(matrix, axis=0)``.  numpy adds the
-    rows of a matrix with several columns one after another, so the running
+    result is bitwise ``np.add.reduce(matrix, axis=0)`` for ``cols >= 2``:
+    numpy adds the rows of such a matrix one after another, so the running
     sums go in a carry row above each block and the block is reduced with
-    them.  A single column is one contiguous run, which numpy sums pairwise
-    (:func:`_pairwise_sum`).
+    them.  (A single column is summed pairwise, which this order is not.)
     """
     bufs = _blocks_in_order(work, seed, blocks, cols)
     try:
-        if cols == 1:
-            return np.array([_pairwise_sum((buf[1:, 0] for buf in bufs), blocks)])
-        sums = None
+        sums = np.add.reduce(next(bufs)[1:], axis=0)
         for buf in bufs:
-            if sums is None:
-                sums = np.add.reduce(buf[1:], axis=0)
-            else:
-                buf[0] = sums
-                sums = np.add.reduce(buf, axis=0)
+            buf[0] = sums
+            sums = np.add.reduce(buf, axis=0)
         return sums
     finally:
-        bufs.close()  # stops and joins the worker threads
-
-
-#: numpy sums a contiguous run of at most this many floats without splitting it.
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_sum(pieces: Iterator[np.ndarray], blocks: list[slice]) -> float:
-    """``np.add.reduce`` of the concatenated pieces, one per row block, bitwise.
-
-    numpy splits a run of more than ``_PAIRWISE_LEAF`` values at half its
-    length rounded down to a multiple of 8, sums both halves the same way
-    and adds the two sums.  A run inside one block is summed by
-    ``np.add.reduce`` on that block; runs that cross a block boundary are
-    split further, down to runs short enough to copy into one array.
-    """
-    height = blocks[0].stop
-    window, start = np.empty(0), 0  # values start .. start + len(window) - 1
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        nonlocal window, start
-        while hi > start + len(window):
-            keep = min(lo, start + len(window))
-            window = np.concatenate((window[keep - start :], next(pieces)))
-            start = keep
-        return window[lo - start : hi - start]
-
-    def node(lo: int, hi: int) -> float:
-        n = hi - lo
-        if n <= _PAIRWISE_LEAF or lo // height == (hi - 1) // height:
-            return np.add.reduce(run(lo, hi))
-        half = n // 2 - n // 2 % 8
-        return node(lo, lo + half) + node(lo + half, hi)
-
-    return node(0, blocks[-1].stop)
+        bufs.close()  # cancels queued blocks and joins the worker threads
 
 
 def _blocks_in_order(
     work: Callable, seed: int, blocks: list[slice], cols: int
-) -> Generator[np.ndarray, None, None]:
+) -> Iterator[np.ndarray]:
     """Yield, block by block in order, a buffer whose rows 1.. ``work`` filled.
 
     Each yielded buffer has ``1 + height`` rows for a block of ``height``
@@ -329,56 +290,37 @@ def _blocks_in_order(
     while it draws and computes.  At most workers + 1 buffers exist, and a
     buffer is reused once the caller asks for the next block.
     """
+    import itertools
     import threading
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
 
     workers = min(_worker_count(), len(blocks))
-    fillers = [stream_filler(seed) for _ in range(workers)]
-    free = [np.empty((1 + blocks[0].stop, cols)) for _ in range(workers + 1)]
-    ready: dict[int, tuple] = {}
-    cond = threading.Condition()
-    claimed = 0
-    stop = False
+    local = threading.local()
 
-    def run(fill) -> None:
-        nonlocal claimed
-        while True:
-            with cond:
-                cond.wait_for(lambda: stop or claimed == len(blocks) or free)
-                if stop or claimed == len(blocks):
-                    return
-                block, buf = claimed, free.pop()
-                claimed += 1
-            rows = blocks[block]
-            out = buf[: 1 + rows.stop - rows.start]
-            try:
-                work(fill, block, out[1:])
-                result = (buf, out, None)
-            except BaseException as exc:  # re-raised on the calling thread
-                result = (buf, out, exc)
-            with cond:
-                ready[block] = result
-                cond.notify_all()
+    def run(block: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not hasattr(local, "fill"):
+            local.fill = stream_filler(seed)
+        rows = blocks[block]
+        out = buf[: 1 + rows.stop - rows.start]
+        work(local.fill, block, out[1:])
+        return buf, out
 
-    threads = [threading.Thread(target=run, args=(fill,)) for fill in fillers]
-    for thread in threads:
-        thread.start()
-    try:
-        for block in range(len(blocks)):
-            with cond:
-                cond.wait_for(lambda: block in ready)
-                buf, out, exc = ready.pop(block)
-            if exc is not None:
-                raise exc
-            yield out
-            with cond:
-                free.append(buf)
-                cond.notify_all()
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
+    todo = iter(range(len(blocks)))
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(
+            pool.submit(run, block, np.empty((1 + blocks[0].stop, cols)))
+            for block in itertools.islice(todo, workers + 1)
+        )
+        try:
+            while pending:
+                buf, out = pending.popleft().result()
+                yield out
+                for block in itertools.islice(todo, 1):
+                    pending.append(pool.submit(run, block, buf))
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def load_events(source: Source) -> list[MonthlyEvents]:

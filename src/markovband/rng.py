@@ -75,25 +75,18 @@ def row_blocks(rows: int) -> list[slice]:
 def substream_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
     """Rows start..stop-1 of a noise matrix whose row t is drawn from stream t.
 
-    Row t is bitwise ``substream(seed, t).standard_normal(cols)``.  As in
-    :func:`stream_filler`, one generator is rewound to a fresh state keyed
-    ``(seed, t)`` before each row; the loop is written out because it runs
-    once per calibration trial.
+    Row t is bitwise ``substream(seed, t).standard_normal(cols)``, drawn by
+    one :func:`stream_filler`.
     """
     if not 0 <= start < stop <= 2**64:
         raise ValueError(
             f"stream range must satisfy 0 <= start < stop <= 2**64, "
             f"got [{start}, {stop})"
         )
-    gen = substream(seed, start)
-    bitgen = gen.bit_generator
-    fresh = bitgen.state  # counter 0, empty buffer, key (seed, start)
-    key = fresh["state"]["key"]
+    fill = stream_filler(seed)
     out = np.empty((stop - start, cols))
     for row, stream in zip(out, range(start, stop)):
-        key[1] = stream
-        bitgen.state = fresh
-        gen.standard_normal(out=row)
+        fill(stream, row)
     return out
 
 

@@ -240,6 +240,37 @@ def test_cost_force_overrides_refusal(capsys):
     assert "warning" in err
 
 
+def write_series(tmp_path, n):
+    # a seeded walk of n points: too short or too long for the Markov check
+    series = tmp_path / "series.csv"
+    values = 100.0 + np.cumsum(np.random.default_rng(3).standard_normal(n))
+    series.write_text("".join(f"{float(v)!r}\n" for v in values))
+    return str(series)
+
+
+@pytest.mark.parametrize(
+    "n, reason",
+    [(3, "requires at least 4 observations"), (5002, "sample size must be in")],
+)
+def test_cost_series_the_check_cannot_judge_needs_force(capsys, tmp_path, n, reason):
+    series = write_series(tmp_path, n)
+    inputs = ["--input", series, "--events", EVENTS, "--rates", RATES]
+    code, out, err = run_cli(capsys, "cost", *inputs, "--sample", "50")
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+    code, out, err = run_cli(capsys, "cost", *inputs, "--sample", "50", "--force")
+    payload = json.loads(out)
+    summary = mb.summarize_costs(mb.load_events(EVENTS), mb.load_rates(RATES))
+    cb = mb.cost_band(mb.band(mb.load_series(series), 12), summary)
+    assert code == 0
+    assert [row["upper"] for row in payload["cost_bands"]] == cb.upper.tolist()
+    assert payload["samples_summary"]["count"] == 50
+    assert "warning: the Markov check cannot judge this series" in err
+    assert reason in err
+
+
 def test_cost_malformed_input_exits_2_before_the_markov_check(capsys, tmp_path):
     events = tmp_path / "events.csv"
     events.write_text("delays,cancellations\n1,2\n")
