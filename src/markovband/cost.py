@@ -16,8 +16,6 @@ prediction band scales edge by edge, and sampled paths scale path by path.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -26,7 +24,7 @@ import numpy as np
 
 from .forecast import ForecastBand, check_walk, sample_paths, walk_in_place
 from .rng import row_blocks, stream_filler
-from .series import Source, read_text
+from .series import Source, read_csv, read_text
 
 __all__ = [
     "CostRates",
@@ -108,47 +106,42 @@ class CostSummary:
         return self.adc + self.asc
 
 
-def _check_months(months: Sequence[MonthlyEvents]) -> None:
+def _averages(months: Sequence[MonthlyEvents], rates: CostRates) -> tuple[float, float]:
+    """ADC and ASC from one pass over the months, each checked as it comes."""
     if len(months) == 0:
         raise ValueError("need at least one month of event counts")
+    direct_total = 0.0
+    spare_total = 0.0
     for i, month in enumerate(months, start=1):
         if month.total_interruptions == 0:
             raise ValueError(
                 f"month {i} has zero schedule interruptions; "
                 "per-interruption cost is undefined"
             )
-
-
-def compute_adc(months: Sequence[MonthlyEvents], rates: CostRates) -> float:
-    """Average direct cost per schedule interruption across months."""
-    _check_months(months)
-    total = 0.0
-    for month in months:
         direct = (
             rates.delay * month.delays
             + rates.cancellation * month.cancellations
             + rates.diversion * month.diversions
             + rates.air_turnback * month.air_turnbacks
         )
-        total += direct / month.total_interruptions
-    return total / len(months)
+        direct_total += direct / month.total_interruptions
+        spare_total += rates.spare * month.spares / month.total_interruptions
+    return direct_total / len(months), spare_total / len(months)
+
+
+def compute_adc(months: Sequence[MonthlyEvents], rates: CostRates) -> float:
+    """Average direct cost per schedule interruption across months."""
+    return _averages(months, rates)[0]
 
 
 def compute_asc(months: Sequence[MonthlyEvents], rates: CostRates) -> float:
     """Average spare-aircraft cost per schedule interruption across months."""
-    _check_months(months)
-    total = 0.0
-    for month in months:
-        total += rates.spare * month.spares / month.total_interruptions
-    return total / len(months)
+    return _averages(months, rates)[1]
 
 
 def summarize_costs(months: Sequence[MonthlyEvents], rates: CostRates) -> CostSummary:
-    return CostSummary(
-        adc=compute_adc(months, rates),
-        asc=compute_asc(months, rates),
-        months=len(months),
-    )
+    adc, asc = _averages(months, rates)
+    return CostSummary(adc=adc, asc=asc, months=len(months))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,18 +322,19 @@ def load_events(source: Source) -> list[MonthlyEvents]:
     The header must contain the columns delays, cancellations, diversions,
     air_turnbacks, and spares, in any order; extra columns are ignored.
     """
-    reader = csv.DictReader(io.StringIO(read_text(source)))
-    header = reader.fieldnames or []
+    rows = read_csv(source)
+    header = rows[0] if rows else []
     missing = [name for name in _EVENT_FIELDS if name not in header]
     if missing:
         raise ValueError(
             f"events CSV is missing required columns: {', '.join(missing)}"
         )
     months = []
-    for i, row in enumerate(reader, start=1):
+    for i, row in enumerate((row for row in rows[1:] if row), start=1):
+        fields = dict(zip(header, row))
         counts = {}
         for name in _EVENT_FIELDS:
-            cell = row[name]
+            cell = fields.get(name)
             try:
                 counts[name] = int(cell)
             except (TypeError, ValueError):

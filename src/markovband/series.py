@@ -23,6 +23,7 @@ __all__ = [
     "SeriesFormatError",
     "DegenerateSeriesError",
     "load_series",
+    "diff_rows",
     "difference",
 ]
 
@@ -97,16 +98,37 @@ class ErrorSequence:
         return int(self.errors.size)
 
 
+def diff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First differences of each last-axis row, with their means and variances.
+
+    The variance is the unbiased one, bitwise ``errors.var(axis=-1, ddof=1)``
+    (the same steps, sharing the mean), and 0.0 for a lone difference.
+    Raises ValueError, naming the overflow, when a difference or a
+    variance of finite values leaves the float64 range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.diff(values, axis=-1)
+        count = errors.shape[-1]
+        mean = np.add.reduce(errors, axis=-1, keepdims=True) / count
+        squares = errors - mean
+        np.multiply(squares, squares, out=squares)
+        variance = np.add.reduce(squares, axis=-1) / max(count - 1, 1)
+    # A non-finite difference makes its row's mean, and so its variance,
+    # non-finite too.
+    if not np.all(np.isfinite(variance)):
+        raise ValueError(
+            "first differences overflow: a step of the series or their "
+            "variance exceeds the float64 range; rescale the series"
+        )
+    return errors, mean[..., 0], variance
+
+
 def difference(series: TimeSeries) -> ErrorSequence:
     """Error sequence e_k = x_k - x_{k-1} of a series of length >= 2."""
     if len(series) < 2:
         raise ValueError("differencing requires a series of length >= 2")
-    errors = np.diff(series.values)
-    mean = float(errors.mean())
-    if errors.size < 2:
-        variance = 0.0
-    else:
-        variance = float(errors.var(ddof=1))
+    errors, mean, variance = diff_rows(series.values)
+    mean, variance = float(mean), float(variance)
     return ErrorSequence(
         errors=errors, mean=mean, variance=variance, stddev=math.sqrt(variance)
     )
@@ -127,6 +149,21 @@ def read_text(source: Source) -> str:
         except UnicodeDecodeError as exc:
             raise SeriesFormatError(f"input is not valid UTF-8 text: {exc}") from exc
     return raw
+
+
+def read_csv(source: Source) -> list[list[str]]:
+    """Rows of CSV text, blank lines as empty rows; lines end in LF, CRLF or CR.
+
+    A line the csv module cannot parse raises :class:`SeriesFormatError`
+    naming it.
+    """
+    reader = csv.reader(io.StringIO(read_text(source), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise SeriesFormatError(
+            f"malformed CSV line {reader.line_num}: {exc}"
+        ) from None
 
 
 def _pick_column(first_row: Sequence[str], column: int | str | None) -> int:
@@ -157,8 +194,7 @@ def load_series(source: Source, column: int | str | None = None) -> TimeSeries:
     of the first row; selecting a column by name requires a header.  When the
     value column is not the first one, the first column is kept as labels.
     """
-    text = read_text(source)
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    rows = [row for row in read_csv(source) if row]
     if not rows:
         raise SeriesFormatError("input contains no rows")
 

@@ -12,19 +12,16 @@ the calibrated outcome; coverage near 1.0 would signal a bug, not success.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import math
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
 from .forecast import check_walk
-from .markov import MIN_CHECK_LENGTH, check_markov
+from .markov import check_rows
 from .rng import DEFAULT_SEED, substream, substream_rows
 from .series import TimeSeries
-from .swilk import RULE_PAPER_THRESHOLD, sw_pvalue, sw_statistic, validate_decision
+from .swilk import RULE_PAPER_THRESHOLD
 
 __all__ = ["SimulationReport", "generate_walk", "run_calibration"]
 
@@ -88,17 +85,6 @@ def generate_walk(x0: float, sigma: float, length: int, seed: int) -> TimeSeries
     return TimeSeries(values=_walk_values(x0, sigma, length - 1, substream(seed, 0)))
 
 
-def _raise_refusal(histories: np.ndarray, p: float, rule: str) -> NoReturn:
-    """Raise what the per-trial check raises on the first history it refuses.
-
-    The scalar check computes the same values as the batched one, so it
-    refuses every history that made the block fail.
-    """
-    for values in histories:
-        check_markov(TimeSeries(values=values), p=p, rule=rule)
-    raise AssertionError("the per-trial check refused none of the histories")
-
-
 def run_calibration(
     trials: int = 2000,
     walk_length: int = 50,
@@ -124,19 +110,16 @@ def run_calibration(
     matrix; the report is bitwise what one check per trial gives, and a
     history the check refuses raises the same error.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    if walk_length < MIN_WALK_LENGTH:
-        raise ValueError(
-            f"walk_length must be >= {MIN_WALK_LENGTH}, got {walk_length}"
-        )
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    check_walk(
+        0.0,
+        sigma,
+        ("trials", trials, MIN_TRIALS),
+        ("walk_length", walk_length, MIN_WALK_LENGTH),
+        ("horizon", horizon, 1),
+    )
+    if sigma == 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma!r}")
 
-    assert walk_length >= MIN_CHECK_LENGTH
-    n_errors = walk_length - 1
     width = walk_length + horizon
     block = max(1, BLOCK_BYTES // (8 * width))
     root_k = np.sqrt(np.arange(1, horizon + 1, dtype=float))
@@ -147,27 +130,15 @@ def run_calibration(
         stop = min(start + block, trials)
         walks = np.empty((stop - start, width))
         walks[:, 0] = 0.0
-        # x0 + cumsum with x0 = 0.0, as _walk_values forms it (-0.0 -> 0.0).
-        walks[:, 1:] = 0.0 + np.cumsum(
-            substream_rows(seed, start, stop, width - 1) * sigma, axis=1
-        )
-        history = walks[:, :walk_length]
-        w = None
-        if np.all(np.isfinite(history)):
-            errors = np.diff(history, axis=1)
-            variance = errors.var(axis=1, ddof=1)
-            if not np.any(variance == 0.0):
-                with contextlib.suppress(ValueError):
-                    w = sw_statistic(errors)
-        if w is None:
-            _raise_refusal(history, p, rule)
-        # The per-trial check refuses a history before it looks at p and rule.
-        validate_decision(p, rule)
-        if rule == RULE_PAPER_THRESHOLD:
-            accepted += int(np.count_nonzero(w >= 1.0 - 2.0 * p))
-        else:
-            accepted += sum(sw_pvalue(x, n_errors) >= p for x in w.tolist())
-        sigma_hat = np.sqrt(variance)
+        # x0 + cumsum with x0 = 0.0, as _walk_values forms it (-0.0 -> 0.0);
+        # walks that overflow are left to the check, which refuses them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            walks[:, 1:] = 0.0 + np.cumsum(
+                substream_rows(seed, start, stop, width - 1) * sigma, axis=1
+            )
+        verdict = check_rows(walks[:, :walk_length], p=p, rule=rule)
+        accepted += int(np.count_nonzero(verdict.is_markov))
+        sigma_hat = verdict.error_stddev
         for s in sigma_hat.tolist():  # sequential, in trial order
             sigma_hat_sum += s
         band_sigma = sigma if use_true_sigma else sigma_hat[:, None]

@@ -43,7 +43,6 @@ __all__ = [
     "sw_pvalue",
     "sw_decide",
     "sw_test",
-    "validate_decision",
 ]
 
 MIN_SAMPLE = 3
@@ -68,19 +67,20 @@ class SWCoefficients:
 
 @dataclass(frozen=True)
 class SWResult:
-    """Outcome of one Shapiro-Wilk decision.
+    """Outcome of one Shapiro-Wilk decision, or of a batch of them.
 
     ``threshold`` is what ``w`` (paper-threshold rule) or ``p_value``
     (p-value rule) was compared against; ``p_value`` is None under the
-    paper-threshold rule, which never computes one.
+    paper-threshold rule, which never computes one.  For a batch, ``w``,
+    ``normal`` and ``p_value`` are arrays with one entry per sample.
     """
 
-    w: float
+    w: float | np.ndarray
     n: int
     threshold: float
     rule: str
-    normal: bool
-    p_value: float | None = None
+    normal: bool | np.ndarray
+    p_value: float | np.ndarray | None = None
 
 
 # Royston (1992) correction polynomials for the two largest weights,
@@ -212,29 +212,28 @@ def sw_pvalue(w: float, n: int) -> float:
     return norm_cdf(-(y - mu) / sigma)
 
 
-def validate_decision(p: float, rule: str) -> None:
-    """Check a significance level and decision rule name."""
+def sw_decide(
+    w: float | np.ndarray, n: int, p: float = 0.05, rule: str = RULE_PAPER_THRESHOLD
+) -> SWResult:
+    """Turn a W statistic, or an array of them, into accept/reject decisions.
+
+    Under ``paper-threshold`` a sample is affirmed normal when
+    W >= 1 - 2p; under ``p-value`` when the p-value of W is >= p.  An array
+    of W (say one per row from :func:`sw_statistic`) gives arrays of
+    decisions and p-values; the p-values are the scalar :func:`sw_pvalue`
+    of each W.
+    """
     if not 0.0 < p < 0.5:
         raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
-    if rule not in RULES:
-        raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
-
-
-def sw_decide(
-    w: float, n: int, p: float = 0.05, rule: str = RULE_PAPER_THRESHOLD
-) -> SWResult:
-    """Turn a W statistic into an accept/reject decision.
-
-    Under ``paper-threshold`` the sample is affirmed normal when
-    W >= 1 - 2p; under ``p-value`` when the p-value of W is >= p.
-    """
-    validate_decision(p, rule)
     if rule == RULE_PAPER_THRESHOLD:
         threshold = 1.0 - 2.0 * p
         return SWResult(
             w=w, n=n, threshold=threshold, rule=rule, normal=w >= threshold
         )
-    pv = sw_pvalue(w, n)
+    if rule != RULE_P_VALUE:
+        raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
+    pvs = [sw_pvalue(x, n) for x in np.ravel(w).tolist()]
+    pv = np.array(pvs).reshape(w.shape) if isinstance(w, np.ndarray) else pvs[0]
     return SWResult(w=w, n=n, threshold=p, rule=rule, normal=pv >= p, p_value=pv)
 
 

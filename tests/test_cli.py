@@ -250,7 +250,7 @@ def write_series(tmp_path, n):
 
 @pytest.mark.parametrize(
     "n, reason",
-    [(3, "requires at least 4 observations"), (5002, "sample size must be in")],
+    [(3, "requires at least 4 observations"), (5002, "3 to 5000 differences")],
 )
 def test_cost_series_the_check_cannot_judge_needs_force(capsys, tmp_path, n, reason):
     series = write_series(tmp_path, n)
@@ -293,6 +293,63 @@ def test_cost_zero_interruption_month_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "month 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["forecast"], ["forecast", "--force"], ["forecast", "--rule", "p-value"],
+])
+def test_a_series_past_the_check_range_exits_2_naming_its_length(
+    capsys, tmp_path, command
+):
+    code, out, err = run_cli(capsys, *command, "--input", write_series(tmp_path, 5999))
+    assert code == 2
+    assert out == ""
+    assert "5999" in err
+    assert "3 to 5000 differences" in err
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "markovband", *argv], capture_output=True, text=True
+    )
+
+
+def only_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["check"], ["forecast", "--force"]])
+def test_overflowing_differences_exit_2_with_one_error_line(tmp_path, command):
+    series = tmp_path / "series.csv"
+    series.write_text("1e308\n-1e308\n" * 10)
+    proc = run_module(*command, "--input", str(series))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert only_error_line(proc.stderr), proc.stderr
+    assert "overflow" in proc.stderr
+
+
+def test_simulate_overflowing_walks_exit_2_with_one_error_line():
+    proc = run_module("simulate", "--sigma", "1e308")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert only_error_line(proc.stderr), proc.stderr
+
+
+def test_cr_only_line_endings_load(capsys, tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_bytes(Path(WALK).read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r"))
+    events = tmp_path / "events.csv"
+    events.write_bytes(Path(EVENTS).read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r"))
+    assert run_cli(capsys, "check", "--input", WALK)[:2] == run_cli(
+        capsys, "check", "--input", str(series)
+    )[:2]
+    inputs = ["--events", EVENTS, "--rates", RATES]
+    expect = run_cli(capsys, "cost", "--input", WALK, *inputs)
+    inputs[1] = str(events)
+    assert run_cli(capsys, "cost", "--input", str(series), *inputs) == expect
+    assert expect[0] == 0
 
 
 # --------------------------------------------------------------- simulate

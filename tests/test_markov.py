@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from markovband.markov import MIN_CHECK_LENGTH, check_markov
+from markovband.markov import MIN_CHECK_LENGTH, check_markov, check_rows
 from markovband.rng import substream
 from markovband.series import DegenerateSeriesError, TimeSeries, difference
 from markovband.simulate import generate_walk
-from markovband.swilk import RULE_P_VALUE
+from markovband.swilk import RULE_P_VALUE, RULE_PAPER_THRESHOLD
 
 
 def test_true_random_walk_is_accepted():
@@ -68,3 +70,71 @@ def test_significance_level_is_passed_through():
     walk = generate_walk(0.0, 1.0, 50, seed=4)
     verdict = check_markov(walk, p=0.01)
     assert verdict.sw.threshold == 1.0 - 2.0 * 0.01
+
+
+def test_series_longer_than_the_check_range_is_refused_by_length():
+    walk = generate_walk(0.0, 1.0, 5999, seed=2)
+    with pytest.raises(ValueError) as exc:
+        check_markov(walk)
+    message = str(exc.value)
+    assert "5999" in message
+    assert "3 to 5000 differences" in message
+    # 5001 observations (5000 differences) is the longest series checked
+    assert check_markov(generate_walk(0.0, 1.0, 5001, seed=2)).n_errors == 5000
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, -1e308] * 5,                 # a step overflows
+    [0.0, 1e200, 0.0, -1e200] * 3,       # the steps fit, their variance does not
+])
+def test_overflowing_differences_are_named_without_warnings(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            check_markov(TimeSeries(values=values))
+
+
+def _check_rows_cases():
+    gen = substream(11, 0)
+    yield gen.standard_normal((7, 30)).cumsum(axis=1)          # one block
+    yield gen.standard_normal((2, 3, 12)).cumsum(axis=2)       # stacked blocks
+    yield np.concatenate([[0.0], gen.exponential(size=39)]).cumsum()  # one row
+
+
+@pytest.mark.parametrize("rule", [RULE_PAPER_THRESHOLD, RULE_P_VALUE])
+@pytest.mark.parametrize("histories", list(_check_rows_cases()))
+def test_check_rows_is_check_markov_on_each_row_bitwise(histories, rule):
+    block = check_rows(histories, p=0.1, rule=rule)
+    rows = histories.reshape(-1, histories.shape[-1])
+    for i, row in enumerate(rows):
+        one = check_markov(TimeSeries(values=row), p=0.1, rule=rule)
+        assert np.ravel(block.is_markov)[i] == one.is_markov
+        assert np.ravel(block.sw.w)[i] == one.sw.w
+        assert np.ravel(block.error_mean)[i] == one.error_mean
+        assert np.ravel(block.error_stddev)[i] == one.error_stddev
+        assert np.ravel(block.drift_warning)[i] == one.drift_warning
+        if rule == RULE_P_VALUE:
+            assert np.ravel(block.sw.p_value)[i] == one.sw.p_value
+        assert block.sw.threshold == one.sw.threshold
+        assert block.n_errors == one.n_errors
+    assert np.shape(block.is_markov) == histories.shape[:-1]
+
+
+def test_check_markov_verdict_holds_python_scalars():
+    verdict = check_markov(generate_walk(0.0, 1.0, 40, seed=3), rule=RULE_P_VALUE)
+    for value in (verdict.is_markov, verdict.drift_warning):
+        assert type(value) is bool
+    for value in (verdict.error_mean, verdict.error_stddev, verdict.sw.w,
+                  verdict.sw.p_value):
+        assert type(value) is float
+
+
+def test_check_rows_refuses_a_block_like_its_first_refused_row():
+    rows = substream(12, 0).standard_normal((4, 10)).cumsum(axis=1)
+    rows[2] = np.arange(10.0)            # a ramp: zero variance
+    rows[3, 5] = np.inf                  # not a series at all
+    with pytest.raises(DegenerateSeriesError, match="differences are equal"):
+        check_rows(rows)
+    rows[1, 4] = np.nan
+    with pytest.raises(ValueError, match="series values must be finite"):
+        check_rows(rows)

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from markovband.series import (
     SeriesFormatError,
     TimeSeries,
+    diff_rows,
     difference,
     load_series,
 )
@@ -73,6 +75,31 @@ def test_difference_ramp_is_exactly_degenerate():
 def test_difference_requires_two_points():
     with pytest.raises(ValueError):
         difference(TimeSeries(values=[42.0]))
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, -1e308, 1e308],              # a step overflows
+    [0.0, 1e200, 0.0, -1e200],           # the variance of the steps overflows
+])
+def test_difference_names_the_overflow_without_warnings(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="first differences overflow"):
+            difference(TimeSeries(values=values))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (50,), (7, 12), (2, 3, 201)])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+def test_diff_rows_moments_are_numpys_bitwise(shape, scale):
+    values = np.random.default_rng(5).standard_normal(shape).cumsum(axis=-1) * scale
+    errors, mean, variance = diff_rows(values)
+    expect = np.diff(values, axis=-1)
+    assert np.array_equal(errors, expect)
+    assert np.array_equal(mean, expect.mean(axis=-1))
+    if shape[-1] > 2:
+        assert np.array_equal(variance, expect.var(axis=-1, ddof=1))
+    else:
+        assert np.all(variance == 0.0)
 
 
 @given(st.lists(dyadic, min_size=2, max_size=40), dyadic)
@@ -166,6 +193,28 @@ def test_load_column_index_out_of_range():
 def test_load_skips_a_utf8_bom():
     series = load_series(io.BytesIO(b"\xef\xbb\xbf1.0\n2.0\n3.5\n"))
     assert series.values.tolist() == [1.0, 2.0, 3.5]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_load_accepts_each_line_ending(end):
+    text = end.join(["t,v", "a,1", "b,2.5", "c,3"]) + end
+    series = load_series(io.StringIO(text))
+    assert series.values.tolist() == [1.0, 2.5, 3.0]
+    assert series.labels == ("a", "b", "c")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_load_keeps_line_breaks_inside_quoted_labels(end):
+    text = end.join(["t,v", f'"a{end}b",1', "c,2"]) + end
+    series = load_series(io.StringIO(text))
+    assert series.labels == (f"a{end}b", "c")
+    assert series.values.tolist() == [1.0, 2.0]
+
+
+def test_load_names_a_csv_error():
+    # a field past the csv module's size limit
+    with pytest.raises(SeriesFormatError, match="CSV line 3"):
+        load_series(io.StringIO("1\n2\n" + "3" * 200_000 + "\n"))
 
 
 def test_load_invalid_utf8():
