@@ -10,6 +10,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -259,7 +260,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     verdict = check_markov(series, p=args.p, rule=args.rule)
     if _refused(verdict, args.force, "forecast", "band"):
         return 1
-    b = band(series, args.horizon)
+    b = band(series, args.horizon, verdict)
     if args.format == "plot-csv":
         print("k,lower,x0,upper")
         for k, lo, hi in zip(b.steps(), b.lower, b.upper):
@@ -279,6 +280,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a series the check cannot judge
         if not args.force:
             raise
+        verdict = None
         print(
             f"warning: the Markov check cannot judge this series ({exc}); "
             "costs emitted because --force was given",
@@ -287,7 +289,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     else:
         if _refused(verdict, args.force, "cost the forecast", "costs"):
             return 1
-    b = band(series, args.horizon)
+    b = band(series, args.horizon, verdict)
     cb = cost_band(b, summary)
     payload = {
         "adc": summary.adc,
@@ -333,9 +335,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    Reuse is safe: ``parse_args`` fills a fresh Namespace on every call and
+    no argument has a mutable default.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

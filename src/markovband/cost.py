@@ -161,12 +161,18 @@ class CostBand:
 
 
 def cost_band(band: ForecastBand, summary: CostSummary) -> CostBand:
-    """Scale each band edge by the combined per-interruption cost."""
+    """Scale each band edge by the combined per-interruption cost.
+
+    Edges whose dollar value is beyond the float64 range are refused with a
+    ValueError.
+    """
     rate = summary.per_interruption
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"per-interruption cost must be finite and >= 0, got {rate!r}")
-    lower = band.lower * rate
-    upper = band.upper * rate
+    with np.errstate(over="ignore"):
+        lower = band.lower * rate
+        upper = band.upper * rate
+    _check_dollars("the cost band edges", rate, lower, upper)
     lower.setflags(write=False)
     upper.setflags(write=False)
     return CostBand(
@@ -176,6 +182,15 @@ def cost_band(band: ForecastBand, summary: CostSummary) -> CostBand:
         lower=lower,
         upper=upper,
     )
+
+
+def _check_dollars(what: str, rate: float, *values: np.ndarray) -> None:
+    """Refuse, naming ``what``, dollar values that left the float64 range."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(
+            f"{what} exceed the float64 range at {rate!r} dollars per "
+            "interruption; rescale the rates or the series"
+        )
 
 
 def sample_costs(
@@ -216,28 +231,34 @@ def sample_cost_moments(
     count that fits in one block is summarised from its matrix, drawn once,
     and so is a horizon of 1, whose matrix is one float per path.
     ``count`` must be at least 2, the fewest paths a sample stddev needs.
+    Costs, or moments of them, beyond the float64 range are refused with a
+    ValueError.
     """
     check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 2))
-    blocks = row_blocks(count)
-    if len(blocks) == 1 or horizon == 1:
-        costs = sample_costs(x0, sigma, horizon, summary, count, seed)
-        return costs.mean(axis=0), costs.std(axis=0, ddof=1)
     rate = summary.per_interruption
+    blocks = row_blocks(count)
 
     def fill_costs(fill, block: int, rows: np.ndarray) -> None:
         fill(block, rows)
         walk_in_place(rows, x0, sigma)
         rows *= rate
 
-    mean = _column_sums(fill_costs, seed, blocks, horizon) / count
-
     def fill_deviations(fill, block: int, rows: np.ndarray) -> None:
         fill_costs(fill, block, rows)
         rows -= mean
         np.square(rows, out=rows)
 
-    squares = _column_sums(fill_deviations, seed, blocks, horizon)
-    return mean, np.sqrt(squares / (count - 1))
+    # Costs that overflow become inf or nan, which the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(blocks) == 1 or horizon == 1:
+            costs = sample_costs(x0, sigma, horizon, summary, count, seed)
+            mean, std = costs.mean(axis=0), costs.std(axis=0, ddof=1)
+        else:
+            mean = _column_sums(fill_costs, seed, blocks, horizon) / count
+            squares = _column_sums(fill_deviations, seed, blocks, horizon)
+            std = np.sqrt(squares / (count - 1))
+    _check_dollars("the sampled costs", rate, mean, std)
+    return mean, std
 
 
 def _worker_count() -> int:
@@ -280,8 +301,9 @@ def _blocks_in_order(
     Each yielded buffer has ``1 + height`` rows for a block of ``height``
     rows; row 0 is free for the caller.  Blocks are filled on worker
     threads, one per CPU, each with its own filler; numpy releases the GIL
-    while it draws and computes.  At most workers + 1 buffers exist, and a
-    buffer is reused once the caller asks for the next block.
+    while it draws and computes.  ``work`` runs under the numpy error state
+    of the thread that started the iteration.  At most workers + 1 buffers
+    exist, and a buffer is reused once the caller asks for the next block.
     """
     import itertools
     import threading
@@ -290,13 +312,15 @@ def _blocks_in_order(
 
     workers = min(_worker_count(), len(blocks))
     local = threading.local()
+    errors = np.geterr()  # a new thread starts with numpy's default error state
 
     def run(block: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not hasattr(local, "fill"):
             local.fill = stream_filler(seed)
         rows = blocks[block]
         out = buf[: 1 + rows.stop - rows.start]
-        work(local.fill, block, out[1:])
+        with np.errstate(**errors):
+            work(local.fill, block, out[1:])
         return buf, out
 
     todo = iter(range(len(blocks)))

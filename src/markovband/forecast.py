@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import standard_normal_matrix
 from .series import DegenerateSeriesError, TimeSeries, difference
+
+if TYPE_CHECKING:
+    from .markov import MarkovVerdict
 
 __all__ = [
     "ForecastBand",
@@ -87,20 +91,30 @@ def make_band(x0: float, sigma: float, horizon: int) -> ForecastBand:
     )
 
 
-def band(series: TimeSeries, horizon: int) -> ForecastBand:
+def band(
+    series: TimeSeries, horizon: int, verdict: MarkovVerdict | None = None
+) -> ForecastBand:
     """Band anchored at the last observation, sigma estimated from the series.
 
     sigma-hat is the sample standard deviation of the first differences.
-    Raises :class:`~markovband.series.DegenerateSeriesError` when the
-    differences have zero variance (no noise to calibrate a band against).
+    Given the series' :class:`~markovband.markov.MarkovVerdict`, its
+    ``error_stddev`` is that value (to the bit) and the series is not
+    differenced again.  Without one, raises
+    :class:`~markovband.series.DegenerateSeriesError` when the differences
+    have zero variance (no noise to calibrate a band against); the check
+    refuses such a series before it gives a verdict.
     """
-    errors = difference(series)
-    if errors.variance == 0.0:
-        raise DegenerateSeriesError(
-            "all first differences are equal; a prediction band is undefined "
-            "for a noise-free series"
-        )
-    return make_band(float(series.values[-1]), errors.stddev, horizon)
+    if verdict is not None:
+        sigma = verdict.error_stddev
+    else:
+        errors = difference(series)
+        if errors.variance == 0.0:
+            raise DegenerateSeriesError(
+                "all first differences are equal; a prediction band is undefined "
+                "for a noise-free series"
+            )
+        sigma = errors.stddev
+    return make_band(float(series.values[-1]), sigma, horizon)
 
 
 def walk_in_place(noise: np.ndarray, x0: float, sigma: float) -> None:

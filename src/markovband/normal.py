@@ -1,15 +1,24 @@
-"""Standard normal CDF and quantile function, dependency-free and bit-reproducible.
+"""Standard normal CDF and quantile function, bit-reproducible.
 
 The quantile function uses Acklam's rational approximation (central region
 plus one tail, the other tail by symmetry) refined with a single Halley step
 against the erfc-based CDF.  The refinement pushes the absolute error from
 ~1e-9 down to a few ulp, comfortably inside the 1e-9 contract.  Coefficient
 provenance and the refinement algebra are written up in docs/algorithms.md.
+
+``norm_ppf`` takes a float or an array.  Arithmetic runs as numpy array ops
+only where numpy rounds exactly as Python does (``+ - * /`` and ``sqrt`` are
+correctly rounded in both); ``log``, ``erfc`` and ``exp`` stay ``math``
+calls per element, because numpy's versions may differ from the C library's
+in the last ulp.  An array element therefore gets the same bits as the same
+value passed alone.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["norm_cdf", "norm_ppf"]
 
@@ -55,37 +64,50 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _ppf_lower_half(p: float) -> float:
-    """Quantile for 0 < p <= 0.5 (non-positive result)."""
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    # One Halley step against the erfc CDF.  The residual e is evaluated where
-    # Phi(x) is small (x <= 0), so there is no cancellation in Phi(x) - p.
-    e = 0.5 * math.erfc(-x / _SQRT2) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function) applied to every element of ``a``."""
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def norm_ppf(p: float) -> float:
+def norm_ppf(p: float | np.ndarray) -> float | np.ndarray:
     """Inverse standard normal CDF for p in the open interval (0, 1).
+
+    ``p`` is a float (the result is a float) or an array (the result is an
+    array of its shape).  Each element is bitwise what the scalar formula
+    gives it: the rational step and the Halley step are numpy's correctly
+    rounded ``+ - * /`` and ``sqrt`` in Python's evaluation order, and
+    ``log``, ``erfc`` and ``exp`` are ``math`` calls per element.
 
     Upper-half arguments are mapped through the exact reflection
     ``norm_ppf(p) = -norm_ppf(1 - p)``; for p > 0.5 the subtraction 1 - p is
     exact in IEEE-754, so both halves see the well-conditioned branch.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"norm_ppf requires 0 < p < 1, got {p!r}")
-    if p > 0.5:
-        return -_ppf_lower_half(1.0 - p)
-    return _ppf_lower_half(p)
+    scalar = np.ndim(p) == 0
+    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    inside = (0.0 < arr) & (arr < 1.0)
+    if not inside.all():
+        bad = p if scalar else arr[~inside][0].item()
+        raise ValueError(f"norm_ppf requires 0 < p < 1, got {bad!r}")
+    upper = arr > 0.5
+    lo = np.where(upper, 1.0 - arr, arr)  # 0 < lo <= 0.5
+    # Central region, evaluated everywhere; the lower tail overwrites its part.
+    q = lo - 0.5
+    r = q * q
+    x = (
+        (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
+        * q
+        / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    )
+    tail = lo < _P_LOW
+    if tail.any():
+        q = np.sqrt(-2.0 * _each(math.log, lo[tail]))
+        x[tail] = (
+            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+    # One Halley step against the erfc CDF.  The residual e is evaluated where
+    # Phi(x) is small (x <= 0), so there is no cancellation in Phi(x) - p.
+    e = 0.5 * _each(math.erfc, -x / _SQRT2) - lo
+    u = e * _SQRT_2PI * _each(math.exp, 0.5 * x * x)
+    x = x - u / (1.0 + 0.5 * x * u)
+    x = np.where(upper, -x, x)
+    return float(x[0]) if scalar else x

@@ -82,7 +82,10 @@ def generate_walk(x0: float, sigma: float, length: int, seed: int) -> TimeSeries
     always produce the identical series.
     """
     check_walk(x0, sigma, ("walk length", length, 2))
-    return TimeSeries(values=_walk_values(x0, sigma, length - 1, substream(seed, 0)))
+    # A walk that overflows is left to TimeSeries, which refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _walk_values(x0, sigma, length - 1, substream(seed, 0))
+    return TimeSeries(values=values)
 
 
 def run_calibration(

@@ -96,9 +96,7 @@ def _upper_half_weights(n: int) -> np.ndarray:
         return np.array([math.sqrt(0.5)])
     half = n // 2
     # Blom scores m_j = Phi^-1((j - 3/8) / (n + 1/4)) for the upper half.
-    m_up = np.array(
-        [norm_ppf((j - 0.375) / (n + 0.25)) for j in range(n - half + 1, n + 1)]
-    )
+    m_up = norm_ppf((np.arange(n - half + 1, n + 1) - 0.375) / (n + 0.25))
     msq = 2.0 * float(m_up @ m_up)  # ||m||^2; the middle score of odd n is 0
     u = 1.0 / math.sqrt(n)
     rms = math.sqrt(msq)

@@ -7,6 +7,8 @@ different route than the library takes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from markovband.markov import check_markov
@@ -129,3 +131,106 @@ def reference_calibration(
         sigma_hat_mean=sigma_hat_mean,
         sigma_hat_rel_error=abs(sigma_hat_mean - sigma) / sigma,
     )
+
+
+# Acklam (2003) coefficients and the Royston (1992) correction polynomials,
+# transcribed again so that the references below stand on their own.
+_ACKLAM_A = (
+    -3.969683028665376e01,
+    2.209460984245205e02,
+    -2.759285104469687e02,
+    1.383577518672690e02,
+    -3.066479806614716e01,
+    2.506628277459239e00,
+)
+_ACKLAM_B = (
+    -5.447609879822406e01,
+    1.615858368580409e02,
+    -1.556989798598866e02,
+    6.680131188771972e01,
+    -1.328068155288572e01,
+)
+_ACKLAM_C = (
+    -7.784894002430293e-03,
+    -3.223964580411365e-01,
+    -2.400758277161838e00,
+    -2.549732539343734e00,
+    4.374664141464968e00,
+    2.938163982698783e00,
+)
+_ACKLAM_D = (
+    7.784695709041462e-03,
+    3.224671290700398e-01,
+    2.445134137142996e00,
+    3.754408661907416e00,
+)
+ACKLAM_P_LOW = 0.02425
+_ROYSTON_LAST = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
+_ROYSTON_SECOND = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
+
+
+def reference_norm_ppf(p: float) -> float:
+    """Acklam's quantile with one Halley step, one Python float at a time.
+
+    The scalar formula, evaluated with ``math`` only: the reference that
+    ``norm_ppf`` must match bitwise, element by element.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"norm_ppf requires 0 < p < 1, got {p!r}")
+    if p > 0.5:
+        return -reference_norm_ppf(1.0 - p)
+    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    if p < ACKLAM_P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    else:
+        q = p - 0.5
+        r = q * q
+        x = (
+            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
+            * q
+            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        )
+    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
+    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def reference_sw_weights(n: int) -> np.ndarray:
+    """Royston's Shapiro-Wilk weights for n >= 3 from scalar Blom scores.
+
+    Each Blom score is one :func:`reference_norm_ppf` call; the corrections,
+    mirroring and renormalisation follow Royston (1992) as the library
+    applies them, so the result must equal ``sw_coefficients(n).a`` bitwise.
+    """
+    half = n // 2
+    if n == 3:
+        upper = np.array([math.sqrt(0.5)])
+    else:
+        m_up = np.array(
+            [
+                reference_norm_ppf((j - 0.375) / (n + 0.25))
+                for j in range(n - half + 1, n + 1)
+            ]
+        )
+        msq = 2.0 * float(m_up @ m_up)
+        u = 1.0 / math.sqrt(n)
+        rms = math.sqrt(msq)
+        a_last = np.polyval(_ROYSTON_LAST, u) + m_up[-1] / rms
+        if n > 5:
+            a_second = np.polyval(_ROYSTON_SECOND, u) + m_up[-2] / rms
+            phi = (msq - 2.0 * m_up[-1] ** 2 - 2.0 * m_up[-2] ** 2) / (
+                1.0 - 2.0 * a_last**2 - 2.0 * a_second**2
+            )
+            upper = np.concatenate([m_up[:-2] / math.sqrt(phi), [a_second, a_last]])
+        else:
+            phi = (msq - 2.0 * m_up[-1] ** 2) / (1.0 - 2.0 * a_last**2)
+            upper = np.concatenate([m_up[:-1] / math.sqrt(phi), [a_last]])
+    a = np.empty(n)
+    a[n - half :] = upper
+    a[:half] = -upper[::-1]
+    if n % 2:
+        a[half] = 0.0
+    return a / math.sqrt(float(a @ a))

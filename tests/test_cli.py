@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import markovband as mb
+from markovband import cli
 from markovband.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -391,3 +392,96 @@ def test_cli_stdout_is_byte_identical_across_runs():
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ------------------------------------------------------- one parser a process
+
+
+def test_import_builds_no_parser_and_two_calls_build_one():
+    script = f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import markovband.cli as cli
+assert built == [], built
+builds = []
+build = cli.build_parser
+cli.build_parser = lambda: builds.append(1) or build()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(["check", "--input", {WALK!r}]),
+             cli.main(["check", "--input", {SKEWED!r}])]
+print(codes, len(builds))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "1]", "1"]
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # options of one call (--force, --horizon, --rule) must not leak into the next
+    calls = [
+        ["forecast", "--input", SKEWED, "--force", "--horizon", "3"],
+        ["forecast", "--input", SKEWED],
+        ["forecast", "--input", WALK],
+        ["check", "--input", SKEWED, "--rule", "p-value"],
+        ["check", "--input", SKEWED],
+        ["forecast", "--input", WALK, "--horizon", "0"],
+        ["check", "--input", WALK],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    fresh = [(p.returncode, p.stdout) for p in (run_module(*argv) for argv in calls)]
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 1, 0, 1, 1, 2, 0]
+
+
+@pytest.mark.parametrize("rule", mb.RULES)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.csv")), ids=lambda p: p.name)
+def test_bands_from_the_verdict_are_byte_identical(capsys, monkeypatch, rule, path):
+    # forecast and cost take sigma-hat from the verdict; differencing the
+    # series again, as band() does without one, must print the same bytes
+    commands = [
+        ["forecast", "--input", str(path), "--rule", rule, "--force",
+         "--format", "plot-csv"],
+        ["forecast", "--input", str(path), "--rule", rule, "--force"],
+        ["cost", "--input", str(path), "--events", EVENTS, "--rates", RATES,
+         "--force", "--sample", "40"],
+    ]
+    if rule != mb.RULES[0]:
+        commands.pop()  # cost has no --rule
+    from_verdict = [run_cli(capsys, *argv)[:2] for argv in commands]
+    monkeypatch.setattr(
+        cli, "band", lambda series, horizon, verdict=None: mb.band(series, horizon)
+    )
+    recomputed = [run_cli(capsys, *argv)[:2] for argv in commands]
+    assert from_verdict == recomputed
+
+
+@pytest.mark.parametrize(
+    "series, extra, what",
+    [
+        (WALK, ["--sample", "100", "--horizon", "2"], "sampled costs"),
+        (EVENTS, ["--sample", "100", "--horizon", "2"], "sampled costs"),
+        (None, [], "cost band edges"),
+    ],
+)
+def test_cost_overflow_exits_2_with_one_error_line(tmp_path, series, extra, what):
+    rates = tmp_path / "rates.cfg"
+    rates.write_text("delay=1e307\ncancellation=0\ndiversion=0\nair_turnback=0\nspare=0\n")
+    series = series or write_series(tmp_path, 50)  # values near 100
+    proc = run_module(
+        "cost", "--input", series, "--events", EVENTS, "--rates", str(rates), *extra
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert only_error_line(proc.stderr), proc.stderr
+    assert f"{what} exceed the float64 range" in proc.stderr

@@ -151,6 +151,23 @@ def test_zero_rate_collapses_cost_band():
     assert np.all(cb.lower == 0.0) and np.all(cb.upper == 0.0)
 
 
+def test_cost_band_refuses_edges_beyond_float64():
+    summary = CostSummary(adc=1e307, asc=0.0, months=1)
+    with pytest.raises(ValueError, match="cost band edges exceed the float64 range"):
+        cost_band(make_band(100.0, 1.0, 3), summary)
+    cost_band(make_band(1.0, 1.0, 3), summary)  # edges up to ~2.7e307 still fit
+
+
+@pytest.mark.parametrize("count", [100, BLOCK_PATHS + 5])
+@pytest.mark.parametrize("x0, rate", [(100.0, 1e307), (0.0, 1e300)])
+def test_sample_cost_moments_refuse_costs_beyond_float64(count, x0, rate):
+    # x0 = 100 puts every cost past the range; x0 = 0 leaves the costs and
+    # their mean finite but not the squared deviations behind the stddev.
+    summary = CostSummary(adc=rate, asc=0.0, months=1)
+    with pytest.raises(ValueError, match="sampled costs exceed the float64 range"):
+        sample_cost_moments(x0, 1.0, 2, summary, count, seed=1)
+
+
 def test_sample_costs_are_scaled_paths_bitwise():
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     costs = sample_costs(10.0, 2.0, 6, summary, 400, seed=3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from markovband.normal import norm_cdf, norm_ppf
+from oracles import ACKLAM_P_LOW, reference_norm_ppf
 
 
 def test_ppf_matches_reference_within_1e9():
@@ -66,3 +67,46 @@ def test_ppf_domain(bad):
 def test_ppf_monotone(p, q):
     lo, hi = sorted((p, q))
     assert norm_ppf(lo) <= norm_ppf(hi)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_array_ppf_is_bitwise_the_scalar_reference():
+    edges = []
+    for p in (ACKLAM_P_LOW, 0.5, 1.0 - ACKLAM_P_LOW):
+        below, above = p, p
+        for _ in range(4):  # each boundary and the floats right around it
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            edges += [below, above]
+        edges.append(p)
+    ps = np.concatenate(
+        [
+            np.linspace(1e-10, 1 - 1e-10, 100_001),
+            10.0 ** np.arange(-300.0, -1.0, 0.25),
+            1.0 - 10.0 ** np.arange(-16.0, -1.0, 0.25),
+            2.0 ** -np.arange(1.0, 60.0),  # dyadic: 1 - p reflects exactly
+            1.0 - 2.0 ** -np.arange(1.0, 53.0),
+            [np.nextafter(1.0, 0.0)],
+            edges,
+        ]
+    )
+    expected = np.array([reference_norm_ppf(p) for p in ps.tolist()])
+    assert np.array_equal(_bits(norm_ppf(ps)), _bits(expected))
+    # the same element inside a 2-D array and alone
+    grid = ps[: 3 * 1000].reshape(3, 1000)
+    assert np.array_equal(_bits(norm_ppf(grid)), _bits(expected[:3000].reshape(3, 1000)))
+    for p, want in zip(ps[::251].tolist(), expected[::251].tolist()):
+        got = norm_ppf(p)
+        assert type(got) is float
+        assert _bits(got) == _bits(want)
+
+
+def test_array_ppf_out_of_range_element_raises_the_scalar_message():
+    with pytest.raises(ValueError, match=r"norm_ppf requires 0 < p < 1, got 1\.0"):
+        norm_ppf(np.array([0.25, 1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"got nan"):
+        norm_ppf(np.array([[0.25], [math.nan]]))
+    with pytest.raises(ValueError, match=r"norm_ppf requires 0 < p < 1, got -0\.2"):
+        norm_ppf(-0.2)

@@ -72,6 +72,12 @@ def test_generate_walk_validation():
         generate_walk(np.inf, 1.0, 10, seed=0)
 
 
+def test_generate_walk_overflow_is_refused_without_warnings():
+    # tier-1 turns a leaked RuntimeWarning into an error
+    with pytest.raises(ValueError, match="finite"):
+        generate_walk(0.0, 1e308, 20, seed=1)
+
+
 # ------------------------------------------------------------- calibration
 
 

@@ -18,6 +18,7 @@ from markovband.swilk import (
     sw_statistic,
     sw_test,
 )
+from oracles import reference_sw_weights
 
 # Frozen regression values for substream(8675309, 0).standard_normal(50).
 REGRESSION_SEED = 8675309
@@ -252,3 +253,12 @@ def test_sw_test_on_skewed_sample_rejects_under_both_rules():
     x = substream(REGRESSION_SEED, 1).exponential(scale=2.0, size=80)
     assert not sw_test(x, rule=RULE_PAPER_THRESHOLD).normal
     assert not sw_test(x, rule=RULE_P_VALUE).normal
+
+
+@pytest.mark.parametrize(
+    "sizes", [range(3, 401), range(401, MAX_SAMPLE + 1, 37), [MAX_SAMPLE]]
+)
+def test_weights_are_bitwise_those_of_scalar_blom_scores(sizes):
+    for n in sizes:
+        got = sw_coefficients(n).a
+        assert np.array_equal(got.view(np.uint64), reference_sw_weights(n).view(np.uint64)), n
