@@ -17,6 +17,7 @@ value passed alone.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -57,6 +58,9 @@ _D = (
 )
 
 _P_LOW = 0.02425
+# Subnormal p is refused: below about 6e-311 the Halley step's exp(x * x / 2)
+# overflows, and below about 1e-316 Phi(x) - p keeps too few bits to refine x.
+_P_MIN = sys.float_info.min
 
 
 def norm_cdf(x: float) -> float:
@@ -70,7 +74,10 @@ def _each(fn, a: np.ndarray) -> np.ndarray:
 
 
 def norm_ppf(p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse standard normal CDF for p in the open interval (0, 1).
+    """Inverse standard normal CDF for p in [2.2250738585072014e-308, 1).
+
+    A subnormal p (below ``sys.float_info.min``) is refused by name, as is
+    any p outside the open interval (0, 1).
 
     ``p`` is a float (the result is a float) or an array (the result is an
     array of its shape).  Each element is bitwise what the scalar formula
@@ -84,10 +91,12 @@ def norm_ppf(p: float | np.ndarray) -> float | np.ndarray:
     """
     scalar = np.ndim(p) == 0
     arr = np.atleast_1d(np.asarray(p, dtype=float))
-    inside = (0.0 < arr) & (arr < 1.0)
+    inside = (_P_MIN <= arr) & (arr < 1.0)
     if not inside.all():
         bad = p if scalar else arr[~inside][0].item()
-        raise ValueError(f"norm_ppf requires 0 < p < 1, got {bad!r}")
+        rule = (f"p >= {_P_MIN!r} (the smallest normal float)"
+                if 0.0 < bad < _P_MIN else "0 < p < 1")
+        raise ValueError(f"norm_ppf requires {rule}, got {bad!r}")
     upper = arr > 0.5
     lo = np.where(upper, 1.0 - arr, arr)  # 0 < lo <= 0.5
     # Central region, evaluated everywhere; the lower tail overwrites its part.

@@ -64,7 +64,7 @@ class TimeSeries:
             raise ValueError("series values must be finite")
         object.__setattr__(self, "values", arr)
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+            labels = tuple(map(str, self.labels))
             if len(labels) != arr.size:
                 raise ValueError(
                     f"got {len(labels)} labels for {arr.size} observations"
@@ -185,29 +185,108 @@ def _pick_column(first_row: Sequence[str], column: int | str | None) -> int:
     return column % width
 
 
+def _data_start(first_row: Sequence[str], idx: int, column: int | str | None) -> int:
+    """Index of the first data row: 1 after a header row, else 0.
+
+    A column selected by name needs a header.  Otherwise the first row is a
+    header when its value field does not parse as a float and does not start
+    like a number (``[+-]?[0-9.]`` after leading whitespace); a field that
+    does, such as ``1j`` or ``0x1p3``, is a mistyped value and is refused as
+    data row 1.
+    """
+    if isinstance(column, str):
+        return 1
+    cell = first_row[idx]
+    try:
+        float(cell)
+    except ValueError:
+        lead = cell.lstrip()
+        lead = lead[1:] if lead[:1] in ("+", "-") else lead
+        if lead and lead[0] in "0123456789.":
+            raise SeriesFormatError(
+                f"non-numeric value {cell!r} in data row 1"
+            ) from None
+        return 1
+    return 0
+
+
+def _load_plain(text: str, column: int | str | None) -> TimeSeries | None:
+    """The series of ``text`` split at C speed, or None to leave it to csv.
+
+    Returns only where the csv module would read ``text`` as plain splits at
+    commas and line breaks: no quote, no NUL (which csv refuses on Python
+    3.10), no CR outside a CRLF, no blank line, no line longer than
+    ``csv.field_size_limit()``, at least two lines, every line as wide as
+    the first and every value finite.  Values are parsed by ``float``, as on
+    the csv path.  The first row is judged by the same column and header
+    rules, and only once csv could raise nothing before them, so an error
+    they raise here is the one the csv path would raise.
+    """
+    if '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if "\n\n" in text or text.startswith("\n"):
+        return None
+    text = text.removesuffix("\n")
+    # Byte counts: "\n" and "," never occur inside a multi-byte UTF-8
+    # character, and a line has at least as many bytes as characters.
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    edges = np.concatenate(([-1], np.flatnonzero(data == ord("\n")), [data.size]))
+    if edges.size < 3 or (np.diff(edges) - 1).max() > csv.field_size_limit():
+        return None
+
+    head = text.partition("\n")[0].split(",")
+    idx = _pick_column(head, column)
+    start = _data_start(head, idx, column)
+    width = len(head)
+    if edges.size - 1 - start < 2:
+        return None
+    if width > 1:
+        commas = np.flatnonzero(data == ord(","))
+        if not (np.diff(np.searchsorted(commas, edges)) == width - 1).all():
+            return None
+        fields = text.replace("\n", ",").split(",")
+    else:
+        fields = text.split("\n")  # a line with a comma fails float()
+
+    cells = fields[start * width + idx :: width]
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    labels = fields[start * width :: width] if width > 1 and idx != 0 else None
+    return TimeSeries(values=values, labels=labels)
+
+
 def load_series(source: Source, column: int | str | None = None) -> TimeSeries:
     """Parse CSV text (path or open stream) into a :class:`TimeSeries`.
 
     ``column`` selects the value column by index or header name; by default a
     single-column file uses that column and a multi-column file uses the last
     one.  A header row is detected by attempting to parse the selected field
-    of the first row; selecting a column by name requires a header.  When the
-    value column is not the first one, the first column is kept as labels.
+    of the first row (see :func:`_data_start`); selecting a column by name
+    requires a header.  When the value column is not the first one, the first
+    column is kept as labels.
+
+    Plain text is split in one pass (:func:`_load_plain`), to exactly what
+    the csv path gives; anything else is read row by row through the csv
+    module, which names the row it refuses.
     """
-    rows = [row for row in read_csv(source) if row]
+    text = read_text(source)
+    series = _load_plain(text, column)
+    if series is not None:
+        return series
+    rows = [row for row in read_csv(io.StringIO(text)) if row]
     if not rows:
         raise SeriesFormatError("input contains no rows")
 
     idx = _pick_column(rows[0], column)
-    if isinstance(column, str):
-        data_rows = rows[1:]
-    else:
-        try:
-            float(rows[0][idx])
-        except ValueError:
-            data_rows = rows[1:]  # unparseable first field: treat as header
-        else:
-            data_rows = rows
+    data_rows = rows[_data_start(rows[0], idx, column):]
     if len(data_rows) < 2:
         raise SeriesFormatError(
             f"need at least 2 data rows to form a series, got {len(data_rows)}"

@@ -6,16 +6,21 @@ exit 0, 1 or 2 on it, never with a traceback.
 """
 
 import contextlib
+import csv
 import io
 import math
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from markovband import series as series_module
 from markovband.cli import main
 from markovband.cost import CostRates, MonthlyEvents, load_events, load_rates
 from markovband.series import SeriesFormatError, load_series
+from oracles import reference_load_series
 
 ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -46,6 +51,10 @@ def is_number(cell: str) -> bool:
     return True
 
 
+def starts_like_number(cell: str) -> bool:
+    return re.match(r"\s*[+-]?[0-9.]", cell) is not None
+
+
 @given(st.lists(finite, min_size=2, max_size=30), ENDS, st.booleans(),
        st.sampled_from([None, "value", "x,value"]))
 @settings(max_examples=200, deadline=None)
@@ -67,11 +76,15 @@ def test_series_rows_load_exactly(values, end, trailing, header):
 @given(st.lists(st.one_of(finite.map(repr), plain), min_size=1, max_size=12), ENDS)
 @settings(max_examples=300, deadline=None)
 def test_series_cells_load_or_are_named(cells, end):
-    # blank lines are skipped; a first cell that is not a number is a header
+    # blank lines are skipped; a first cell that is not a number is a header,
+    # unless it starts like one
     rows = [c for c in cells if c]
     text = end.join(cells) + end
     data = rows[1:] if rows and not is_number(rows[0]) else rows
-    if len(data) >= 2 and all(is_number(c) and math.isfinite(float(c)) for c in data):
+    if rows and not is_number(rows[0]) and starts_like_number(rows[0]):
+        with pytest.raises(SeriesFormatError, match="in data row 1$"):
+            load_series(io.StringIO(text))
+    elif len(data) >= 2 and all(is_number(c) and math.isfinite(float(c)) for c in data):
         assert load_series(io.StringIO(text)).values.tolist() == [float(c) for c in data]
     else:
         with pytest.raises(SeriesFormatError):
@@ -86,6 +99,115 @@ def test_series_input_loads_or_is_named(data):
     except SeriesFormatError:
         return
     assert len(series) >= 2
+
+
+# cells for the differential test: numbers in the forms float() reads, and
+# every CSV structure the fast path must leave to the csv module
+number = st.one_of(finite.map(repr), st.integers(-10**6, 10**6).map(str))
+# quoted fields, with separators, doubled quotes and line breaks inside
+quoted = st.lists(st.sampled_from(["1", "2.5", "a", ",", '""', "\n", "\r\n", "\r", " "]),
+                  max_size=5).map(lambda parts: '"' + "".join(parts) + '"')
+odd_number = st.sampled_from(["1_0", "\u0661\u0662", "\uff17", " 7 ", "\t8", '"2.5"'])
+odd_cell = st.one_of(
+    plain,
+    quoted,
+    odd_number,
+    st.sampled_from([
+        "1__0", "inf", "-Infinity", "nan", "1e999", "", " ", "1j", "0x1p3", "value",
+        "x", "a\x00b", "\x00", "\x0c", "\u2028", "\x85", '"', '1"', '"1', "\r",
+        "0" * 140_000 + "1",  # longer than csv.field_size_limit()
+        "x" * (csv.field_size_limit() + 1),
+        "x" * csv.field_size_limit(),
+    ]),
+)
+name = st.one_of(st.sampled_from(["value", "x", "t", "1j", ".5x", " v"]), plain)
+# per kind of text: (value cells, label cells)
+CELLS = {
+    "plain": (number, plain),
+    "awkward": (st.one_of(number, odd_number), st.one_of(plain, quoted)),
+    "rough": (st.one_of(*[number] * 7, odd_cell), st.one_of(number, odd_cell)),
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of rows as wide as the first, of one of three kinds.
+
+    Plain text (numbers, text labels in the first column, LF or CRLF) is
+    what the fast path takes.  Awkward text should load through the csv
+    path: quoted labels, numbers that only ``float`` reads, blank lines and
+    mixed line endings.  Rough text adds any odd cell and ragged rows.
+    """
+    kind = draw(st.sampled_from(sorted(CELLS)))
+    value, label = CELLS[kind]
+    width = draw(st.integers(1, 4))
+    row_cells = [value] * width
+    if width > 1 and draw(st.booleans()):
+        row_cells[0] = label
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(name, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 8))):
+        if kind == "rough" and draw(st.integers(0, 9)) == 0:  # ragged
+            cells = draw(st.lists(value, min_size=1, max_size=6))
+        else:
+            cells = [draw(c) for c in row_cells]
+        lines.append(",".join(cells))
+    if kind == "plain":
+        ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    else:
+        for _ in range(draw(st.integers(0, 2))):  # blank, whitespace-only
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", " ", "\t", ","])))
+        ends = draw(st.lists(ENDS, min_size=len(lines), max_size=len(lines)))
+    if lines and not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def outcome(load, text, column):
+    """What ``load`` gives: value bits and labels, or the error it raises."""
+    try:
+        series = load(text, column)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return series.values.view(np.uint64).tolist(), series.labels
+
+
+@given(csv_texts(), st.sampled_from([None, None, None, 0, 1, -1, 3, "value", "x"]))
+@example("ab,1", "1")  # a single line
+@example('"t",v\n"a",1\nb,2\n', "t")  # quoted header and label
+@example("x" * (csv.field_size_limit() + 1) + ",1j\n1,2\n3,4\n", None)
+@example("a,1\n" + "b" * (csv.field_size_limit() + 1) + ",2\nc,3\n", None)
+@example("a\x00,1\nb,2\nc,3\n", None)
+@example("1\r\n2\r3\r\n", None)
+@example("\r\n1\n2\n", "x")  # a blank first line
+@example("a,1\r\n\r\nb,2\r\nc,3\r\n", "x")
+@settings(max_examples=400, deadline=None)
+def test_series_loader_is_the_csv_reference(text, column):
+    got = outcome(lambda t, c: load_series(io.StringIO(t), c), text, column)
+    assert got == outcome(reference_load_series, text, column)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("rows", [
+    ["1.5", "2", "-3e-2", "4_0"],
+    ["value", "1.5", "2", "-3e-2"],
+    ["month,value", "Jan,1.5", "Feb,2", "Mar,-3e-2"],
+    ["t,a,b", "x,1,2", "y,3,4", "z,5,6"],
+])
+@pytest.mark.parametrize("trailing", [True, False])
+def test_plain_series_files_never_reach_the_csv_module(monkeypatch, rows, end, trailing):
+    def refuse(source):
+        raise AssertionError("plain CSV took the csv path")
+
+    monkeypatch.setattr(series_module, "read_csv", refuse)
+    text = end.join(rows) + (end if trailing else "")
+    expected = reference_load_series(text)
+    for source in (io.StringIO(text), io.BytesIO(b"\xef\xbb\xbf" + text.encode())):
+        series = load_series(source)
+        assert series.values.tolist() == expected.values.tolist()
+        assert series.labels == expected.labels
 
 
 counts = st.integers(min_value=0, max_value=10**6)

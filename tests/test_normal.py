@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -110,3 +112,21 @@ def test_array_ppf_out_of_range_element_raises_the_scalar_message():
         norm_ppf(np.array([[0.25], [math.nan]]))
     with pytest.raises(ValueError, match=r"norm_ppf requires 0 < p < 1, got -0\.2"):
         norm_ppf(-0.2)
+
+
+@pytest.mark.parametrize("p", [5e-324, 3.125e-311, 6e-311, 1e-310,
+                               float(np.nextafter(sys.float_info.min, 0.0))])
+def test_ppf_refuses_subnormal_p_by_name_as_scalar_and_array(p):
+    message = (rf"norm_ppf requires p >= {re.escape(repr(sys.float_info.min))} "
+               rf"\(the smallest normal float\), got {re.escape(repr(p))}$")
+    with pytest.raises(ValueError, match=message):
+        norm_ppf(p)
+    with pytest.raises(ValueError, match=message):
+        norm_ppf(np.array([0.25, p, 1e-320]))
+
+
+def test_ppf_accepts_the_smallest_normal_p_bitwise():
+    ps = [sys.float_info.min, float(np.nextafter(sys.float_info.min, 1.0)), 1e-307]
+    expected = [reference_norm_ppf(p) for p in ps]
+    assert np.array_equal(_bits(norm_ppf(np.array(ps))), _bits(expected))
+    assert [_bits(norm_ppf(p)) for p in ps] == [_bits(x) for x in expected]

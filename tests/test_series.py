@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,24 @@ def test_load_single_column_no_header():
 def test_load_single_column_with_header():
     ts = load_series(io.StringIO("count\n1\n2\n"))
     assert np.array_equal(ts.values, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("first", ["1j", "0x1p3", "1#x", "-2e", " +.5e", ".x"])
+@pytest.mark.parametrize("label", [None, "a"])
+def test_load_refuses_a_first_value_that_starts_like_a_number(first, label):
+    rows = [first, "1", "2", "4", "3", "5"]
+    if label is not None:
+        rows = [f"{label},{cell}" for cell in rows]
+    with pytest.raises(SeriesFormatError,
+                       match=f"^non-numeric value {re.escape(repr(first))} in data row 1$"):
+        load_series(io.StringIO("\n".join(rows) + "\n"))
+
+
+@pytest.mark.parametrize("header", ["value", "month,value", "-x", "+", " v1", "x1", "e5"])
+def test_load_takes_a_first_row_that_does_not_start_like_a_number_as_header(header):
+    width = header.count(",") + 1
+    rows = [header] + [",".join(["r"] * (width - 1) + [str(v)]) for v in (1, 2, 4)]
+    assert load_series(io.StringIO("\n".join(rows) + "\n")).values.tolist() == [1.0, 2.0, 4.0]
 
 
 def test_load_multi_column_defaults_to_last():
