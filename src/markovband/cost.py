@@ -345,6 +345,7 @@ def load_events(source: Source) -> list[MonthlyEvents]:
 
     The header must contain the columns delays, cancellations, diversions,
     air_turnbacks, and spares, in any order; extra columns are ignored.
+    Every month row must have as many fields as the header.
     """
     rows = read_csv(source)
     header = rows[0] if rows else []
@@ -355,13 +356,17 @@ def load_events(source: Source) -> list[MonthlyEvents]:
         )
     months = []
     for i, row in enumerate((row for row in rows[1:] if row), start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"month row {i} has {len(row)} fields, expected {len(header)}"
+            )
         fields = dict(zip(header, row))
         counts = {}
         for name in _EVENT_FIELDS:
-            cell = fields.get(name)
+            cell = fields[name]
             try:
                 counts[name] = int(cell)
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ValueError(
                     f"non-integer count {cell!r} for {name!r} in month row {i}"
                 ) from None

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rng import standard_normal_matrix
-from .series import DegenerateSeriesError, TimeSeries, difference
+from .series import TimeSeries, difference, zero_variance_error
 
 if TYPE_CHECKING:
     from .markov import MarkovVerdict
@@ -101,7 +101,8 @@ def band(
     ``error_stddev`` is that value (to the bit) and the series is not
     differenced again.  Without one, raises
     :class:`~markovband.series.DegenerateSeriesError` when the differences
-    have zero variance (no noise to calibrate a band against); the check
+    have zero variance (all equal, leaving no noise to calibrate a band
+    against, or with a spread that underflows); the check
     refuses such a series before it gives a verdict.
     """
     if verdict is not None:
@@ -109,10 +110,7 @@ def band(
     else:
         errors = difference(series)
         if errors.variance == 0.0:
-            raise DegenerateSeriesError(
-                "all first differences are equal; a prediction band is undefined "
-                "for a noise-free series"
-            )
+            raise zero_variance_error(errors.errors)
         sigma = errors.stddev
     return make_band(float(series.values[-1]), sigma, horizon)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DegenerateSeriesError, TimeSeries, diff_rows
+from .series import TimeSeries, diff_rows, zero_variance_error
 from .swilk import RULE_PAPER_THRESHOLD, SWResult, sw_decide, sw_statistic
 
 __all__ = [
@@ -68,8 +68,8 @@ def check_markov(
     The one-row case of :func:`check_rows`.  Refuses, by length, a series
     outside :data:`MIN_CHECK_LENGTH` to :data:`MAX_CHECK_LENGTH`
     observations; by name, differences that overflow float64; and, with
-    :class:`~markovband.series.DegenerateSeriesError`, differences that are
-    all equal (zero-variance errors, e.g. a pure ramp).
+    :class:`~markovband.series.DegenerateSeriesError`, differences of zero
+    variance: all equal (e.g. a pure ramp) or with a spread that underflows.
     """
     return check_rows(series.values, p=p, rule=rule)
 
@@ -94,10 +94,7 @@ def check_rows(
             )
         errors, mean, variance = diff_rows(values)
         if np.any(variance == 0.0):
-            raise DegenerateSeriesError(
-                "all first differences are equal; the normality check and the "
-                "prediction band are undefined for a noise-free series"
-            )
+            raise zero_variance_error(errors)
         sw = sw_decide(sw_statistic(errors), length - 1, p=p, rule=rule)
     except ValueError:
         if values.ndim > 1:  # raise what the first refused row raises alone

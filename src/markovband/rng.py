@@ -19,7 +19,6 @@ __all__ = [
     "substream",
     "stream_filler",
     "row_blocks",
-    "substream_rows",
     "standard_normal_matrix",
 ]
 
@@ -70,24 +69,6 @@ def row_blocks(rows: int) -> list[slice]:
     """
     starts = range(0, rows, BLOCK_PATHS)
     return [slice(start, min(start + BLOCK_PATHS, rows)) for start in starts]
-
-
-def substream_rows(seed: int, start: int, stop: int, cols: int) -> np.ndarray:
-    """Rows start..stop-1 of a noise matrix whose row t is drawn from stream t.
-
-    Row t is bitwise ``substream(seed, t).standard_normal(cols)``, drawn by
-    one :func:`stream_filler`.
-    """
-    if not 0 <= start < stop <= 2**64:
-        raise ValueError(
-            f"stream range must satisfy 0 <= start < stop <= 2**64, "
-            f"got [{start}, {stop})"
-        )
-    fill = stream_filler(seed)
-    out = np.empty((stop - start, cols))
-    for row, stream in zip(out, range(start, stop)):
-        fill(stream, row)
-    return out
 
 
 def standard_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:

@@ -80,7 +80,9 @@ class ErrorSequence:
     """First differences of a series plus their summary moments.
 
     ``variance`` is the centered unbiased sample variance (n-1 divisor); it is
-    zero exactly when all errors are equal.  For a single error the estimator
+    zero when all errors are equal, and also when errors that differ are so
+    close (spread below about 1e-162) that the squares underflow to zero
+    (see :func:`zero_variance_error`).  For a single error the estimator
     carries no spread information and the variance is reported as 0.0.  The
     mean is reported separately so callers can flag drift rather than silently
     absorbing it into the spread estimate.
@@ -121,6 +123,23 @@ def diff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             "variance exceeds the float64 range; rescale the series"
         )
     return errors, mean[..., 0], variance
+
+
+def zero_variance_error(errors: np.ndarray) -> DegenerateSeriesError:
+    """The refusal of first differences whose variance came out as 0.0.
+
+    Names which of the two causes it was: all differences equal (no noise),
+    or differences that differ but whose squared spread underflowed float64.
+    """
+    if (errors == errors[..., :1]).all():
+        return DegenerateSeriesError(
+            "all first differences are equal; the normality check and the "
+            "prediction band are undefined for a noise-free series"
+        )
+    return DegenerateSeriesError(
+        "first differences underflow: they differ, but their variance is "
+        "below the float64 range; rescale the series"
+    )
 
 
 def difference(series: TimeSeries) -> ErrorSequence:

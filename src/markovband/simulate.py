@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import check_walk
+from .forecast import check_walk, sample_paths, walk_in_place
 from .markov import check_rows
-from .rng import DEFAULT_SEED, substream, substream_rows
+from .rng import DEFAULT_SEED, stream_filler
 from .series import TimeSeries
 from .swilk import RULE_PAPER_THRESHOLD
 
@@ -66,26 +66,19 @@ class SimulationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _walk_values(x0: float, sigma: float, steps: int, gen) -> np.ndarray:
-    noise = gen.standard_normal(steps) * sigma
-    values = np.empty(steps + 1)
-    values[0] = x0
-    values[1:] = x0 + np.cumsum(noise)
-    return values
-
-
 def generate_walk(x0: float, sigma: float, length: int, seed: int) -> TimeSeries:
     """A Gaussian random walk of ``length`` observations starting at x0.
 
     Observation j is x0 plus the cumulative sum of j independent
-    N(0, sigma^2) draws from ``substream(seed, 0)``; the same arguments
-    always produce the identical series.
+    N(0, sigma^2) draws from ``substream(seed, 0)``: x0 followed by the one
+    path of ``sample_paths(x0, sigma, length - 1, 1, seed)``.  The same
+    arguments always produce the identical series.
     """
     check_walk(x0, sigma, ("walk length", length, 2))
     # A walk that overflows is left to TimeSeries, which refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _walk_values(x0, sigma, length - 1, substream(seed, 0))
-    return TimeSeries(values=values)
+        path = sample_paths(x0, sigma, length - 1, 1, seed)[0]
+    return TimeSeries(values=np.concatenate(([x0], path)))
 
 
 def run_calibration(
@@ -129,16 +122,16 @@ def run_calibration(
     accepted = 0
     covered = np.zeros(horizon, dtype=np.int64)
     sigma_hat_sum = 0.0
+    fill = stream_filler(seed)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         walks = np.empty((stop - start, width))
         walks[:, 0] = 0.0
-        # x0 + cumsum with x0 = 0.0, as _walk_values forms it (-0.0 -> 0.0);
-        # walks that overflow are left to the check, which refuses them.
+        for stream, row in enumerate(walks[:, 1:], start):
+            fill(stream, row)
+        # Walks that overflow are left to the check, which refuses them.
         with np.errstate(over="ignore", invalid="ignore"):
-            walks[:, 1:] = 0.0 + np.cumsum(
-                substream_rows(seed, start, stop, width - 1) * sigma, axis=1
-            )
+            walk_in_place(walks[:, 1:], 0.0, sigma)
         verdict = check_rows(walks[:, :walk_length], p=p, rule=rule)
         accepted += int(np.count_nonzero(verdict.is_markov))
         sigma_hat = verdict.error_stddev

@@ -111,6 +111,14 @@ def _upper_half_weights(n: int) -> np.ndarray:
     return np.concatenate([m_up[:-1] / math.sqrt(phi), [a_last]])
 
 
+def _check_sample_size(n: int) -> None:
+    """Refuse a sample size outside [MIN_SAMPLE, MAX_SAMPLE]."""
+    if not MIN_SAMPLE <= n <= MAX_SAMPLE:
+        raise ValueError(
+            f"sample size must be in [{MIN_SAMPLE}, {MAX_SAMPLE}], got {n}"
+        )
+
+
 @lru_cache(maxsize=64)
 def sw_coefficients(n: int) -> SWCoefficients:
     """Shapiro-Wilk weights for sample size n in [3, 5000].
@@ -123,10 +131,7 @@ def sw_coefficients(n: int) -> SWCoefficients:
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"sample size must be an integer, got {type(n).__name__}")
     n = int(n)
-    if not MIN_SAMPLE <= n <= MAX_SAMPLE:
-        raise ValueError(
-            f"sample size must be in [{MIN_SAMPLE}, {MAX_SAMPLE}], got {n}"
-        )
+    _check_sample_size(n)
     upper = _upper_half_weights(n)
     half = n // 2
     a = np.empty(n)
@@ -157,10 +162,7 @@ def sw_statistic(sample: np.ndarray) -> float | np.ndarray:
     x = np.array(sample, dtype=float, order="C", ndmin=1)
     x.sort(axis=-1)
     n = x.shape[-1]
-    if not MIN_SAMPLE <= n <= MAX_SAMPLE:
-        raise ValueError(
-            f"sample size must be in [{MIN_SAMPLE}, {MAX_SAMPLE}], got {n}"
-        )
+    _check_sample_size(n)
     if not np.all(np.isfinite(x)):
         raise ValueError("sample values must be finite")
     centered = x - x.mean(axis=-1, keepdims=True)
@@ -181,10 +183,7 @@ def sw_pvalue(w: float, n: int) -> float:
     W values a few ulp above 1 (possible through rounding in the statistic)
     are clamped to 1 before transforming.
     """
-    if not MIN_SAMPLE <= n <= MAX_SAMPLE:
-        raise ValueError(
-            f"sample size must be in [{MIN_SAMPLE}, {MAX_SAMPLE}], got {n}"
-        )
+    _check_sample_size(n)
     if not 0.0 < w <= 1.0 + 1e-9:
         raise ValueError(f"W must lie in (0, 1], got {w!r}")
     w = min(w, 1.0)

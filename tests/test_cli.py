@@ -68,6 +68,30 @@ def test_check_ramp_exits_2_with_degenerate_message(capsys):
     assert "differences are equal" in err
 
 
+def test_an_underflowing_spread_exits_2_naming_the_underflow(capsys, tmp_path):
+    series = tmp_path / "tiny.csv"
+    series.write_text("0\n1e-320\n0\n2e-320\n-1e-320\n0\n")
+    code, out, err = run_cli(capsys, "check", "--input", str(series))
+    assert code == 2
+    assert out == ""
+    assert "underflow" in err
+    assert "differences are equal" not in err
+
+    series.write_text("0\n1e-320\n0\n")  # too short to judge: --force bands it
+    code, out, err = run_cli(capsys, "cost", "--input", str(series),
+                             "--events", EVENTS, "--rates", RATES, "--force")
+    assert code == 2
+    assert out == ""
+    assert "underflow" in err
+
+
+def test_simulate_with_an_underflowing_sigma_exits_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--trials", "100", "--sigma", "1e-162")
+    assert code == 2
+    assert out == ""
+    assert "underflow" in err
+
+
 def test_check_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "check", "--input", "does-not-exist.csv")
     assert code == 2
@@ -281,6 +305,20 @@ def test_cost_malformed_input_exits_2_before_the_markov_check(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "missing required columns" in err
+
+
+def test_cost_ragged_events_row_exits_2(capsys, tmp_path):
+    series, events, rates = write_micro_fixtures(tmp_path)
+    events.write_text(
+        "delays,cancellations,diversions,air_turnbacks,spares\n2,1,0,1,3,9\n"
+    )
+    code, out, err = run_cli(
+        capsys, "cost", "--input", str(series), "--events", str(events),
+        "--rates", str(rates),
+    )
+    assert code == 2
+    assert out == ""
+    assert "month row 1 has 6 fields, expected 5" in err
 
 
 def test_cost_zero_interruption_month_exits_2(capsys, tmp_path):

@@ -296,6 +296,15 @@ def test_load_events_non_integer_names_row():
         load_events(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row, fields", [("1,2,3,4,5,6", 6), ("1,2,3,4", 4)])
+def test_load_events_refuses_a_ragged_month_row(row, fields):
+    text = f"delays,cancellations,diversions,air_turnbacks,spares\n1,0,0,0,0\n{row}\n"
+    with pytest.raises(
+        ValueError, match=f"^month row 2 has {fields} fields, expected 5$"
+    ):
+        load_events(io.StringIO(text))
+
+
 def test_load_events_skips_a_utf8_bom():
     months = load_events(io.BytesIO(b"\xef\xbb\xbf" + EVENTS_CSV.encode()))
     assert months[0] == WORKED_MONTH

@@ -88,6 +88,14 @@ def test_band_from_degenerate_series_raises():
         band(TimeSeries(values=[1.0, 5.0]), 4)
 
 
+def test_band_from_an_underflowing_spread_names_the_underflow():
+    series = TimeSeries(values=[0.0, 1e-320, 0.0])
+    with pytest.raises(DegenerateSeriesError, match="underflow"):
+        band(series, 4)
+    with pytest.raises(DegenerateSeriesError, match="differences are equal"):
+        band(TimeSeries(values=[1.0, 1.0, 1.0]), 4)
+
+
 # ------------------------------------------------------------------ paths
 
 

@@ -58,6 +58,24 @@ def test_ramp_raises_degenerate():
         check_markov(TimeSeries(values=np.arange(1.0, 6.0)))
 
 
+UNDERFLOWING = [0.0, 1e-320, 0.0, 2e-320, -1e-320, 0.0]
+
+
+def test_an_underflowing_spread_is_refused_by_name():
+    # the differences differ, but their squares underflow to a zero variance
+    series = TimeSeries(values=UNDERFLOWING)
+    assert len(set(difference(series).errors.tolist())) > 1
+    with pytest.raises(DegenerateSeriesError, match="underflow") as exc:
+        check_markov(series)
+    assert "differences are equal" not in str(exc.value)
+    assert "rescale" in str(exc.value)
+    rows = np.array([np.arange(6.0), UNDERFLOWING])
+    with pytest.raises(DegenerateSeriesError, match="differences are equal"):
+        check_rows(rows)
+    with pytest.raises(DegenerateSeriesError, match="underflow"):
+        check_rows(rows[::-1])
+
+
 def test_minimum_length_enforced():
     with pytest.raises(ValueError, match=str(MIN_CHECK_LENGTH)):
         check_markov(TimeSeries(values=[1.0, 2.0, 4.0]))

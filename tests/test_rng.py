@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from markovband.rng import substream, substream_rows
+from markovband.rng import stream_filler, substream
 
 
 @pytest.mark.parametrize("seed, start, stop, cols", [
@@ -10,17 +10,21 @@ from markovband.rng import substream, substream_rows
     (1729, 1000, 1001, 1),
     (5, 2**64 - 3, 2**64, 4),
 ])
-def test_substream_rows_are_the_per_stream_draws_bitwise(seed, start, stop, cols):
-    rows = substream_rows(seed, start, stop, cols)
+def test_filled_column_slice_rows_are_the_per_stream_draws_bitwise(
+    seed, start, stop, cols
+):
+    # rows of m[:, 1:], filled one stream each, as run_calibration fills them
+    m = np.zeros((stop - start, 1 + cols))
+    fill = stream_filler(seed)
+    for stream, row in zip(range(start, stop), m[:, 1:]):
+        fill(stream, row)
     expect = np.array([substream(seed, t).standard_normal(cols)
                        for t in range(start, stop)])
-    assert rows.shape == (stop - start, cols)
-    assert rows.tobytes() == expect.tobytes()
+    assert not m[:, 0].any()
+    assert m[:, 1:].tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("seed, start, stop", [
-    (-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 3, 3), (0, 0, 2**64 + 1),
-])
-def test_substream_rows_validation(seed, start, stop):
-    with pytest.raises(ValueError):
-        substream_rows(seed, start, stop, 4)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_stream_filler_refuses_a_seed_out_of_range(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        stream_filler(seed)

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from scipy import stats
 
 from markovband.rng import DEFAULT_SEED, substream
-from markovband.series import difference
+from markovband.series import DegenerateSeriesError, difference
 from markovband.simulate import (
     BLOCK_BYTES,
     MIN_TRIALS,
@@ -51,6 +52,17 @@ def test_generate_walk_differences_recover_the_noise():
     np.testing.assert_allclose(
         difference(walk).errors, noise, rtol=1e-12, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+def test_generate_walk_is_x0_then_the_stream_0_walk_bitwise(seed):
+    grid = itertools.product([0.0, -0.0, 10.0, -3.0], [0.0, 1e-3, 1.0, 2.5],
+                             [5, 10, 50, 2000])
+    for x0, sigma, length in grid:
+        walk = generate_walk(x0, sigma, length, seed=seed)
+        noise = substream(seed, 0).standard_normal(length - 1) * sigma
+        expect = np.concatenate(([x0], x0 + np.cumsum(noise)))
+        assert walk.values.tobytes() == expect.tobytes(), (x0, sigma, length)
 
 
 def test_generate_walk_sigma_estimate_is_consistent():
@@ -185,6 +197,11 @@ def test_calibration_refuses_like_the_per_trial_loop(overrides):
             run_calibration(**args)
     assert type(batched.value) is type(loop.value)
     assert str(batched.value) == str(loop.value)
+
+
+def test_calibration_names_an_underflowing_spread():
+    with pytest.raises(DegenerateSeriesError, match="underflow"):
+        run_calibration(trials=MIN_TRIALS, walk_length=20, sigma=1e-162, seed=4)
 
 
 @pytest.mark.parametrize("walk_length, table", [
