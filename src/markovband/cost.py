@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .forecast import ForecastBand, check_walk, sample_paths, walk_in_place
-from .rng import row_blocks, stream_filler
+from .rng import BLOCK_PATHS, stream_filler
 from .series import Source, read_csv, read_text
 
 __all__ = [
@@ -118,14 +118,19 @@ def _averages(months: Sequence[MonthlyEvents], rates: CostRates) -> tuple[float,
                 f"month {i} has zero schedule interruptions; "
                 "per-interruption cost is undefined"
             )
-        direct = (
-            rates.delay * month.delays
-            + rates.cancellation * month.cancellations
-            + rates.diversion * month.diversions
-            + rates.air_turnback * month.air_turnbacks
-        )
-        direct_total += direct / month.total_interruptions
-        spare_total += rates.spare * month.spares / month.total_interruptions
+        try:
+            direct = (
+                rates.delay * month.delays
+                + rates.cancellation * month.cancellations
+                + rates.diversion * month.diversions
+                + rates.air_turnback * month.air_turnbacks
+            )
+            direct_total += direct / month.total_interruptions
+            spare_total += rates.spare * month.spares / month.total_interruptions
+        except OverflowError:  # a count, or their total, is too large for a float
+            raise ValueError(
+                f"month {i} has event counts beyond the float64 range"
+            ) from None
     return direct_total / len(months), spare_total / len(months)
 
 
@@ -224,38 +229,24 @@ def sample_cost_moments(
 
     Returns ``(mean, std)``, bitwise ``costs.mean(axis=0)`` and
     ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.  Two
-    passes regenerate the matrix's substream blocks on worker threads, one
-    to sum the costs and one to sum their squared deviations from the mean;
-    the calling thread adds the blocks up in row order, as numpy reduces
-    the whole matrix.  Memory is a few blocks, whatever ``count`` is.  A
-    count that fits in one block is summarised from its matrix, drawn once,
-    and so is a horizon of 1, whose matrix is one float per path.
-    ``count`` must be at least 2, the fewest paths a sample stddev needs.
-    Costs, or moments of them, beyond the float64 range are refused with a
-    ValueError.
+    passes of :func:`_column_sums` regenerate the matrix block by block, one
+    to sum the costs and one to sum their squared deviations from the mean.
+    Memory is a few blocks, whatever ``count`` is.  A count that fits in one
+    block is summarised from its matrix, drawn once, and so is a horizon of
+    1, whose matrix is one float per path.  ``count`` must be at least 2,
+    the fewest paths a sample stddev needs.  Costs, or moments of them,
+    beyond the float64 range are refused with a ValueError.
     """
     check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 2))
     rate = summary.per_interruption
-    blocks = row_blocks(count)
-
-    def fill_costs(fill, block: int, rows: np.ndarray) -> None:
-        fill(block, rows)
-        walk_in_place(rows, x0, sigma)
-        rows *= rate
-
-    def fill_deviations(fill, block: int, rows: np.ndarray) -> None:
-        fill_costs(fill, block, rows)
-        rows -= mean
-        np.square(rows, out=rows)
-
     # Costs that overflow become inf or nan, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(blocks) == 1 or horizon == 1:
+        if count <= BLOCK_PATHS or horizon == 1:
             costs = sample_costs(x0, sigma, horizon, summary, count, seed)
             mean, std = costs.mean(axis=0), costs.std(axis=0, ddof=1)
         else:
-            mean = _column_sums(fill_costs, seed, blocks, horizon) / count
-            squares = _column_sums(fill_deviations, seed, blocks, horizon)
+            mean = _column_sums(x0, sigma, horizon, rate, count, seed) / count
+            squares = _column_sums(x0, sigma, horizon, rate, count, seed, mean)
             std = np.sqrt(squares / (count - 1))
     _check_dollars("the sampled costs", rate, mean, std)
     return mean, std
@@ -271,104 +262,108 @@ def _worker_count() -> int:
 
 
 def _column_sums(
-    work: Callable, seed: int, blocks: list[slice], cols: int
+    x0: float,
+    sigma: float,
+    horizon: int,
+    rate: float,
+    count: int,
+    seed: int,
+    mean: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Column sums of the matrix whose row block b ``work`` writes, block by block.
+    """Column sums of the ``count`` x ``horizon`` cost matrix, block by block.
 
-    ``work(fill, b, rows)`` overwrites ``rows`` with block b of the matrix,
-    drawing from the :func:`~markovband.rng.stream_filler` ``fill``.  The
-    result is bitwise ``np.add.reduce(matrix, axis=0)`` for ``cols >= 2``:
-    numpy adds the rows of such a matrix one after another, so the running
-    sums go in a carry row above each block and the block is reduced with
-    them.  (A single column is summed pairwise, which this order is not.)
+    Block b is rows ``b * BLOCK_PATHS`` on, at most ``BLOCK_PATHS`` of
+    them: stream b's noise, walked from ``x0`` and scaled by ``rate`` with
+    the ops of :func:`sample_costs`.  Given ``mean``, each cost is replaced
+    by its squared deviation ``(cost - mean) ** 2`` before the sum.
+
+    Blocks are filled on worker threads, one per CPU, each with its own
+    :func:`~markovband.rng.stream_filler` and under the numpy error state
+    of the calling thread; numpy releases the GIL while it draws and
+    computes.  The calling thread reduces the blocks in row order, so the
+    result is bitwise ``np.add.reduce(matrix, axis=0)`` for
+    ``horizon >= 2``: numpy adds the rows of such a matrix one after
+    another, so the running sums go in a carry row above each block and the
+    block is reduced with them.  (A single column is summed pairwise, which
+    this order is not.)  At most workers + 1 buffers of ``1 + BLOCK_PATHS``
+    rows exist; a buffer is refilled once its block is reduced.  A worker's
+    error cancels the blocks not yet started and is raised once the threads
+    are joined.
     """
-    bufs = _blocks_in_order(work, seed, blocks, cols)
-    try:
-        sums = np.add.reduce(next(bufs)[1:], axis=0)
-        for buf in bufs:
-            buf[0] = sums
-            sums = np.add.reduce(buf, axis=0)
-        return sums
-    finally:
-        bufs.close()  # cancels queued blocks and joins the worker threads
-
-
-def _blocks_in_order(
-    work: Callable, seed: int, blocks: list[slice], cols: int
-) -> Iterator[np.ndarray]:
-    """Yield, block by block in order, a buffer whose rows 1.. ``work`` filled.
-
-    Each yielded buffer has ``1 + height`` rows for a block of ``height``
-    rows; row 0 is free for the caller.  Blocks are filled on worker
-    threads, one per CPU, each with its own filler; numpy releases the GIL
-    while it draws and computes.  ``work`` runs under the numpy error state
-    of the thread that started the iteration.  At most workers + 1 buffers
-    exist, and a buffer is reused once the caller asks for the next block.
-    """
-    import itertools
     import threading
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = min(_worker_count(), len(blocks))
+    blocks = -(-count // BLOCK_PATHS)
+    workers = min(_worker_count(), blocks)
+    ahead = min(workers + 1, blocks)  # blocks in flight, one buffer each
     local = threading.local()
     errors = np.geterr()  # a new thread starts with numpy's default error state
 
-    def run(block: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def run(block: int, buf: np.ndarray) -> np.ndarray:
         if not hasattr(local, "fill"):
             local.fill = stream_filler(seed)
-        rows = blocks[block]
-        out = buf[: 1 + rows.stop - rows.start]
+        buf = buf[: 1 + min(BLOCK_PATHS, count - block * BLOCK_PATHS)]
+        rows = buf[1:]
         with np.errstate(**errors):
-            work(local.fill, block, out[1:])
-        return buf, out
+            local.fill(block, rows)
+            walk_in_place(rows, x0, sigma)
+            rows *= rate
+            if mean is not None:
+                rows -= mean
+                np.square(rows, out=rows)
+        return buf
 
-    todo = iter(range(len(blocks)))
+    sums = np.full(horizon, -0.0)  # -0.0 + x is x, bit for bit
     with ThreadPoolExecutor(workers) as pool:
         pending = deque(
-            pool.submit(run, block, np.empty((1 + blocks[0].stop, cols)))
-            for block in itertools.islice(todo, workers + 1)
+            pool.submit(run, block, np.empty((1 + BLOCK_PATHS, horizon)))
+            for block in range(ahead)
         )
         try:
-            while pending:
-                buf, out = pending.popleft().result()
-                yield out
-                for block in itertools.islice(todo, 1):
-                    pending.append(pool.submit(run, block, buf))
+            for block in range(blocks):
+                buf = pending.popleft().result()
+                buf[0] = sums
+                sums = np.add.reduce(buf, axis=0)
+                if block + ahead < blocks:  # so buf is not the short last block
+                    pending.append(pool.submit(run, block + ahead, buf))
         finally:
             for future in pending:
                 future.cancel()
+    return sums
 
 
 def load_events(source: Source) -> list[MonthlyEvents]:
     """Read monthly event counts from CSV (one row per month, in order).
 
     The header must contain the columns delays, cancellations, diversions,
-    air_turnbacks, and spares, in any order; extra columns are ignored.
-    Every month row must have as many fields as the header.
+    air_turnbacks, and spares, once each and in any order; extra columns
+    are ignored.  Every month row must have as many fields as the header.
     """
     rows = read_csv(source)
     header = rows[0] if rows else []
+    for name in _EVENT_FIELDS:
+        if header.count(name) > 1:
+            raise ValueError(f"duplicate column {name!r} in the events CSV header")
     missing = [name for name in _EVENT_FIELDS if name not in header]
     if missing:
         raise ValueError(
             f"events CSV is missing required columns: {', '.join(missing)}"
         )
+    columns = [(name, header.index(name)) for name in _EVENT_FIELDS]
     months = []
     for i, row in enumerate((row for row in rows[1:] if row), start=1):
         if len(row) != len(header):
             raise ValueError(
                 f"month row {i} has {len(row)} fields, expected {len(header)}"
             )
-        fields = dict(zip(header, row))
         counts = {}
-        for name in _EVENT_FIELDS:
-            cell = fields[name]
+        for name, j in columns:
             try:
-                counts[name] = int(cell)
+                counts[name] = int(row[j])
             except ValueError:
                 raise ValueError(
-                    f"non-integer count {cell!r} for {name!r} in month row {i}"
+                    f"non-integer count {row[j]!r} for {name!r} in month row {i}"
                 ) from None
         months.append(MonthlyEvents(**counts))
     if not months:

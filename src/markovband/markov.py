@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TimeSeries, diff_rows, zero_variance_error
-from .swilk import RULE_PAPER_THRESHOLD, SWResult, sw_decide, sw_statistic
+from .swilk import (
+    MAX_SAMPLE,
+    MIN_SAMPLE,
+    RULE_PAPER_THRESHOLD,
+    SWResult,
+    sw_decide,
+    sw_statistic,
+)
 
 __all__ = [
     "MIN_CHECK_LENGTH",
@@ -27,10 +34,10 @@ __all__ = [
     "check_rows",
 ]
 
-#: Shortest and longest series the check accepts: 3 to 5000 differences,
-#: the range over which Royston's W and its p-values are validated.
-MIN_CHECK_LENGTH = 4
-MAX_CHECK_LENGTH = 5001
+#: Shortest and longest series the check accepts: one more than the sample
+#: sizes over which Royston's W and its p-values are validated.
+MIN_CHECK_LENGTH = MIN_SAMPLE + 1
+MAX_CHECK_LENGTH = MAX_SAMPLE + 1
 
 #: Drift flag threshold: |mean error| exceeding this many standard errors.
 DRIFT_SIGMAS = 2.0
@@ -90,7 +97,7 @@ def check_rows(
             raise ValueError(
                 f"Markov check requires at least {MIN_CHECK_LENGTH} observations "
                 f"and at most {MAX_CHECK_LENGTH} (Royston's W is validated for "
-                f"3 to 5000 differences); the series has {length}"
+                f"{MIN_SAMPLE} to {MAX_SAMPLE} differences); the series has {length}"
             )
         errors, mean, variance = diff_rows(values)
         if np.any(variance == 0.0):

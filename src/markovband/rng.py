@@ -18,7 +18,6 @@ __all__ = [
     "BLOCK_PATHS",
     "substream",
     "stream_filler",
-    "row_blocks",
     "standard_normal_matrix",
 ]
 
@@ -61,16 +60,6 @@ def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
     return fill
 
 
-def row_blocks(rows: int) -> list[slice]:
-    """Row slices of the substream blocks of a matrix with ``rows`` rows.
-
-    Block b is the b-th slice, of height ``BLOCK_PATHS`` (the last may be
-    shorter), and is drawn from stream b.
-    """
-    starts = range(0, rows, BLOCK_PATHS)
-    return [slice(start, min(start + BLOCK_PATHS, rows)) for start in starts]
-
-
 def standard_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """A (rows, cols) standard normal matrix, filled in substream blocks.
 
@@ -82,6 +71,6 @@ def standard_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
     fill = stream_filler(seed)
     out = np.empty((rows, cols))
-    for block, rows_b in enumerate(row_blocks(rows)):
-        fill(block, out[rows_b])
+    for block, start in enumerate(range(0, rows, BLOCK_PATHS)):
+        fill(block, out[start : start + BLOCK_PATHS])
     return out

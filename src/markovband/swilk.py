@@ -237,7 +237,7 @@ def sw_decide(
 def sw_test(
     sample: np.ndarray, p: float = 0.05, rule: str = RULE_PAPER_THRESHOLD
 ) -> SWResult:
-    """Compute W for a sample and decide normality under the given rule."""
+    """Compute W for a sample, or for each last-axis row of a batch, and decide."""
     x = np.asarray(sample, dtype=float)
     w = sw_statistic(x)
-    return sw_decide(w, x.size, p=p, rule=rule)
+    return sw_decide(w, x.shape[-1], p=p, rule=rule)

@@ -321,6 +321,20 @@ def test_cost_ragged_events_row_exits_2(capsys, tmp_path):
     assert "month row 1 has 6 fields, expected 5" in err
 
 
+def test_cost_duplicate_events_column_exits_2(capsys, tmp_path):
+    series, events, rates = write_micro_fixtures(tmp_path)
+    events.write_text(
+        "delays,cancellations,diversions,air_turnbacks,spares,delays\n1,0,0,0,0,5\n"
+    )
+    code, out, err = run_cli(
+        capsys, "cost", "--input", str(series), "--events", str(events),
+        "--rates", str(rates),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate column 'delays' in the events CSV header\n"
+
+
 def test_cost_zero_interruption_month_exits_2(capsys, tmp_path):
     series, events, rates = write_micro_fixtures(tmp_path)
     events.write_text(
@@ -356,6 +370,21 @@ def run_module(*argv):
 def only_error_line(err):
     lines = err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cost_event_count_beyond_float64_exits_2_with_one_error_line(tmp_path):
+    series, events, rates = write_micro_fixtures(tmp_path)
+    events.write_text(
+        "delays,cancellations,diversions,air_turnbacks,spares\n"
+        f"2,1,0,1,3\n{10**400},0,0,0,0\n"
+    )
+    proc = run_module(
+        "cost", "--input", str(series), "--events", str(events), "--rates", str(rates)
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert only_error_line(proc.stderr), proc.stderr
+    assert "month 2 has event counts beyond the float64 range" in proc.stderr
 
 
 @pytest.mark.parametrize("command", [["check"], ["forecast", "--force"]])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import sys
 import threading
@@ -303,6 +304,38 @@ def test_load_events_refuses_a_ragged_month_row(row, fields):
         ValueError, match=f"^month row 2 has {fields} fields, expected 5$"
     ):
         load_events(io.StringIO(text))
+
+
+@pytest.mark.parametrize("extra", ["delays", "spares"])
+def test_load_events_refuses_a_count_column_named_twice(extra):
+    header = f"month,delays,cancellations,diversions,air_turnbacks,spares,{extra}"
+    text = f"{header}\njan,1,0,0,0,0,5\n"
+    with pytest.raises(
+        ValueError, match=f"^duplicate column '{extra}' in the events CSV header$"
+    ):
+        load_events(io.StringIO(text))
+
+
+def test_load_events_ignores_a_repeated_extra_column():
+    text = "note,delays,cancellations,diversions,air_turnbacks,spares,note,,\n"
+    months = load_events(io.StringIO(text + "a,2,1,0,1,3,b,,\n"))
+    assert months == [WORKED_MONTH]
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {"delays": 10**400},
+        {"delays": 1, "spares": 10**400},
+        {"delays": 10**308, "cancellations": 10**308},  # each fits, the total not
+    ],
+)
+def test_event_counts_beyond_float64_are_refused_naming_the_month(counts):
+    months = [WORKED_MONTH, dataclasses.replace(WORKED_MONTH, **counts)]
+    with pytest.raises(
+        ValueError, match="^month 2 has event counts beyond the float64 range$"
+    ):
+        summarize_costs(months, WORKED_RATES)
 
 
 def test_load_events_skips_a_utf8_bom():

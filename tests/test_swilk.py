@@ -255,6 +255,20 @@ def test_sw_test_on_skewed_sample_rejects_under_both_rules():
     assert not sw_test(x, rule=RULE_P_VALUE).normal
 
 
+@pytest.mark.parametrize("rule", [RULE_PAPER_THRESHOLD, RULE_P_VALUE])
+@pytest.mark.parametrize("shape", [(3, 20), (300, 20), (2, 2, 7)])
+def test_sw_test_on_a_batch_is_the_per_row_calls(rule, shape):
+    batch = substream(REGRESSION_SEED, 2).standard_normal(shape)
+    res = sw_test(batch, rule=rule)
+    rows = [sw_test(row, rule=rule) for row in batch.reshape(-1, shape[-1])]
+    assert res.n == shape[-1] and all(r.n == shape[-1] for r in rows)
+    assert res.w.tolist() == np.reshape([r.w for r in rows], shape[:-1]).tolist()
+    assert res.normal.tolist() == np.reshape([r.normal for r in rows], shape[:-1]).tolist()
+    if rule == RULE_P_VALUE:
+        want = np.reshape([r.p_value for r in rows], shape[:-1])
+        assert res.p_value.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize(
     "sizes", [range(3, 401), range(401, MAX_SAMPLE + 1, 37), [MAX_SAMPLE]]
 )
