@@ -229,9 +229,10 @@ def sample_cost_moments(
 
     Returns ``(mean, std)``, bitwise ``costs.mean(axis=0)`` and
     ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.  Two
-    passes of :func:`_column_sums` regenerate the matrix block by block, one
+    passes of :func:`_column_sums` regenerate the matrix piece by piece, one
     to sum the costs and one to sum their squared deviations from the mean.
-    Memory is a few blocks, whatever ``count`` is.  A count that fits in one
+    Memory is a fixed pool of pieces per worker thread, whatever ``count``
+    and ``horizon`` are.  A count that fits in one
     block is summarised from its matrix, drawn once, and so is a horizon of
     1, whose matrix is one float per path.  ``count`` must be at least 2,
     the fewest paths a sample stddev needs.  Costs, or moments of them,
@@ -252,6 +253,14 @@ def sample_cost_moments(
     return mean, std
 
 
+#: Bytes of one piece of a sample block: the rows drawn, walked and reduced at once.
+PIECE_BYTES = 1 << 18
+#: Bytes of pieces each worker may fill ahead of the block being reduced.
+AHEAD_BYTES = 8 << 20
+#: Free pieces that only the worker of the block being reduced may take.
+RESERVE_PIECES = 2
+
+
 def _worker_count() -> int:
     """Threads that fill sample blocks: the CPUs this process may run on."""
     import os
@@ -270,66 +279,130 @@ def _column_sums(
     seed: int,
     mean: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Column sums of the ``count`` x ``horizon`` cost matrix, block by block.
+    """Column sums of the ``count`` x ``horizon`` cost matrix, piece by piece.
 
     Block b is rows ``b * BLOCK_PATHS`` on, at most ``BLOCK_PATHS`` of
     them: stream b's noise, walked from ``x0`` and scaled by ``rate`` with
     the ops of :func:`sample_costs`.  Given ``mean``, each cost is replaced
-    by its squared deviation ``(cost - mean) ** 2`` before the sum.
+    by its squared deviation ``(cost - mean) ** 2`` before the sum.  A block
+    is drawn, walked, scaled and squared in pieces of rows of about
+    :data:`PIECE_BYTES`, from one rewind of its stream; the rows of a path
+    never span two pieces, so the pieces are the block's bits.
 
-    Blocks are filled on worker threads, one per CPU, each with its own
-    :func:`~markovband.rng.stream_filler` and under the numpy error state
-    of the calling thread; numpy releases the GIL while it draws and
-    computes.  The calling thread reduces the blocks in row order, so the
-    result is bitwise ``np.add.reduce(matrix, axis=0)`` for
-    ``horizon >= 2``: numpy adds the rows of such a matrix one after
-    another, so the running sums go in a carry row above each block and the
-    block is reduced with them.  (A single column is summed pairwise, which
-    this order is not.)  At most workers + 1 buffers of ``1 + BLOCK_PATHS``
-    rows exist; a buffer is refilled once its block is reduced.  A worker's
-    error cancels the blocks not yet started and is raised once the threads
-    are joined.
+    Blocks are taken in order by worker threads, one per CPU (the calling
+    thread is one of them), each with its own
+    :func:`~markovband.rng.stream_filler` and under the numpy error state of
+    the calling thread; numpy releases the GIL while it draws and computes.
+    Pieces are added to the sums in row order, so the result is bitwise
+    ``np.add.reduce(matrix, axis=0)`` for ``horizon >= 2``: numpy adds the
+    rows of such a matrix one after another, so the running sums go in a
+    carry row above each piece and the piece is reduced with them.  (A
+    single column is summed pairwise, which this order is not.)  The worker
+    that fills the next piece in row order adds it, and any pieces filled
+    ahead of it that follow, so the worker of the head block (the one being
+    summed) hands nothing to another thread.
+
+    Pieces live in one pool of ``(workers - 1) * ahead + RESERVE_PIECES``
+    buffers of ``1 + rows`` rows, allocated by the calling thread once per
+    call, where ``ahead`` is a block's pieces capped at :data:`AHEAD_BYTES`.
+    Only the worker of the head block may take the last ``RESERVE_PIECES``
+    free buffers, so the head always moves on and memory is bounded
+    whatever the horizon.  A block larger than the cap makes the other
+    workers wait for the head, trading parallelism for memory.  A worker's
+    error stops the others and is raised once they are joined.
     """
     import threading
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
 
+    rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))  # per piece
     blocks = -(-count // BLOCK_PATHS)
     workers = min(_worker_count(), blocks)
-    ahead = min(workers + 1, blocks)  # blocks in flight, one buffer each
-    local = threading.local()
+    per_block = -(-BLOCK_PATHS // rows)
+    ahead = max(1, min(per_block, AHEAD_BYTES // (8 * horizon * (1 + rows))))
+    pool = np.empty(((workers - 1) * ahead + RESERVE_PIECES, 1 + rows, horizon))
+    free = list(range(len(pool)))
+    ready: dict[int, tuple[int, int]] = {}  # first row -> (buffer, rows)
+    cond = threading.Condition()
+    taken = 0  # blocks handed to workers
+    done = 0  # rows summed: the next piece to add starts here
+    failure: BaseException | None = None
+    sums = np.full(horizon, -0.0)  # -0.0 + x is x, bit for bit
     errors = np.geterr()  # a new thread starts with numpy's default error state
 
-    def run(block: int, buf: np.ndarray) -> np.ndarray:
-        if not hasattr(local, "fill"):
-            local.fill = stream_filler(seed)
-        buf = buf[: 1 + min(BLOCK_PATHS, count - block * BLOCK_PATHS)]
-        rows = buf[1:]
-        with np.errstate(**errors):
-            local.fill(block, rows)
-            walk_in_place(rows, x0, sigma)
-            rows *= rate
-            if mean is not None:
-                rows -= mean
-                np.square(rows, out=rows)
-        return buf
+    def reduce_ready() -> None:
+        """Add the filled pieces that come next in row order to the sums.
 
-    sums = np.full(horizon, -0.0)  # -0.0 + x is x, bit for bit
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque(
-            pool.submit(run, block, np.empty((1 + BLOCK_PATHS, horizon)))
-            for block in range(ahead)
-        )
+        Only the thread that takes the piece at ``done`` adds to the sums,
+        and ``done`` moves past it only once it is added, so one thread at a
+        time adds, in row order.
+        """
+        nonlocal done, sums
+        while True:
+            with cond:
+                if done not in ready:
+                    return
+                slot, n = ready.pop(done)
+            buf = pool[slot, : 1 + n]
+            buf[0] = sums
+            sums = np.add.reduce(buf, axis=0)
+            with cond:
+                done += n
+                free.append(slot)
+                cond.notify_all()
+
+    def work() -> None:
+        nonlocal taken, failure
+        fill = stream_filler(seed)
         try:
-            for block in range(blocks):
-                buf = pending.popleft().result()
-                buf[0] = sums
-                sums = np.add.reduce(buf, axis=0)
-                if block + ahead < blocks:  # so buf is not the short last block
-                    pending.append(pool.submit(run, block + ahead, buf))
-        finally:
-            for future in pending:
-                future.cancel()
+            with np.errstate(**errors):
+                while True:
+                    with cond:
+                        block = taken
+                        if failure is not None or block == blocks:
+                            return
+                        taken += 1
+                    start = block * BLOCK_PATHS
+                    end = min(start + BLOCK_PATHS, count)
+                    for first in range(start, end, rows):
+                        with cond:
+                            while failure is None and len(free) <= (
+                                0 if done >= start else RESERVE_PIECES
+                            ):
+                                cond.wait()
+                            if failure is not None:
+                                return
+                            slot = free.pop()
+                        n = min(rows, end - first)
+                        piece = pool[slot, 1 : 1 + n]
+                        if first == start:
+                            fill(block, piece)
+                        else:
+                            fill.resume(piece)
+                        walk_in_place(piece, x0, sigma)
+                        piece *= rate
+                        if mean is not None:
+                            piece -= mean
+                            np.square(piece, out=piece)
+                        with cond:
+                            ready[first] = slot, n
+                        reduce_ready()
+        except BaseException as exc:  # raised again on the calling thread
+            with cond:
+                if failure is None:
+                    failure = exc
+                cond.notify_all()
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failure is not None:
+        raise failure
     return sums
 
 

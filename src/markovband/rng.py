@@ -44,8 +44,14 @@ def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
     ``fill(t, out)`` fills ``out`` (C-contiguous) bitwise as
     ``substream(seed, t).standard_normal(out.shape)`` would.  One generator
     is built and rewound to a fresh state keyed ``(seed, t)`` on each call,
-    which skips the per-stream construction cost.  A filler holds one
-    generator: give each thread its own.
+    which skips the per-stream construction cost.
+
+    ``fill.resume(out)`` goes on drawing the same stream where the last call
+    stopped, without a rewind.  So a block may be drawn in pieces: after
+    ``fill(t, block[:a])``, ``fill.resume(block[a:b])``,
+    ``fill.resume(block[b:])`` and so on, the rows are bitwise the one call
+    ``fill(t, block)``, because the stream is read in C order.  A filler
+    holds one generator: give each thread its own.
     """
     gen = substream(seed, 0)
     bitgen = gen.bit_generator
@@ -57,6 +63,10 @@ def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
         bitgen.state = fresh
         gen.standard_normal(out=out)
 
+    def resume(out: np.ndarray) -> None:
+        gen.standard_normal(out=out)
+
+    fill.resume = resume  # type: ignore[attr-defined]
     return fill
 
 

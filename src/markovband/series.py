@@ -64,7 +64,9 @@ class TimeSeries:
             raise ValueError("series values must be finite")
         object.__setattr__(self, "values", arr)
         if self.labels is not None:
-            labels = tuple(map(str, self.labels))
+            labels = tuple(self.labels)
+            if set(map(type, labels)) != {str}:  # str() each only when needed
+                labels = tuple(map(str, labels))
             if len(labels) != arr.size:
                 raise ValueError(
                     f"got {len(labels)} labels for {arr.size} observations"
@@ -278,7 +280,7 @@ def _load_plain(text: str, column: int | str | None) -> TimeSeries | None:
         return None
     if not np.isfinite(values).all():
         return None
-    labels = fields[start * width :: width] if width > 1 and idx != 0 else None
+    labels = tuple(fields[start * width :: width]) if width > 1 and idx != 0 else None
     return TimeSeries(values=values, labels=labels)
 
 

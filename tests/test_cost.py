@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import io
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -226,15 +228,49 @@ def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers)
     assert threading.active_count() == threads
 
 
+def tiny_pieces(monkeypatch, horizon, rows, ahead):
+    """Cut sample blocks into pieces of ``rows`` rows, ``ahead`` per worker."""
+    monkeypatch.setattr(cost, "PIECE_BYTES", 8 * horizon * rows)
+    monkeypatch.setattr(cost, "AHEAD_BYTES", 8 * horizon * (1 + rows) * ahead)
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 12])
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("count", [BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 7])
+def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
+    monkeypatch, horizon, workers, count
+):
+    # 999-row pieces do not divide a block, the last piece of a block is
+    # short, the last block is shorter still, and two pieces ahead make
+    # workers wait for the head block.
+    tiny_pieces(monkeypatch, horizon, rows=999, ahead=2)
+    monkeypatch.setattr(cost, "_worker_count", lambda: workers)
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    assert_matrix_moments(-1.0, 2.0, horizon, summary, count, seed=9)
+    zero = CostSummary(adc=0.0, asc=0.0, months=1)  # -0.0 costs
+    assert_matrix_moments(-5.0, 1.0, horizon, zero, count, seed=2)
+
+
+class BlockNumbers:
+    """A filler stub whose noise is the number of the block being drawn."""
+
+    def __init__(self, seed):
+        self.block = None
+
+    def __call__(self, block, out):
+        self.block = block
+        out.fill(float(block))
+
+    def resume(self, out):
+        out.fill(float(self.block))
+
+
 def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
     def fail_on_block_two(paths, x0, sigma):
         if paths[0, 0] == 2.0:
             raise RuntimeError("block 2 failed")
 
-    def fill_block_number(block, out):
-        out.fill(float(block))
-
-    monkeypatch.setattr(cost, "stream_filler", lambda seed: fill_block_number)
+    monkeypatch.setattr(cost, "stream_filler", BlockNumbers)
     monkeypatch.setattr(cost, "walk_in_place", fail_on_block_two)
     monkeypatch.setattr(cost, "_worker_count", lambda: 2)
     threads = threading.active_count()
@@ -244,18 +280,76 @@ def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_sample_cost_moments_memory_does_not_grow_with_count(monkeypatch):
-    # Two workers hold at most three blocks of 2**16 x 12 floats (6.3 MB each);
-    # the cost matrix itself would be 96 MB.
-    monkeypatch.setattr(cost, "_worker_count", lambda: 2)
+def test_a_worker_error_ends_the_call_while_other_workers_wait(monkeypatch):
+    # Block 0 fails on its 50th piece, once the workers of blocks 1 and 2
+    # wait for the pool: of its 2 * 2 + RESERVE_PIECES buffers, block 0
+    # holds one and the others may take all but RESERVE_PIECES, 3 in all.
+    walked = collections.Counter()  # pieces per block, one writer per key
+
+    def fail_in_block_zero(paths, x0, sigma):
+        block = int(paths[0, 0])
+        walked[block] += 1
+        if block == 0 and walked[0] == 50:
+            deadline = time.monotonic() + 10
+            while walked[1] + walked[2] < 3 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)  # for them to reach the wait
+            raise RuntimeError("block 0 failed")
+
+    tiny_pieces(monkeypatch, 4, rows=5, ahead=2)
+    monkeypatch.setattr(cost, "stream_filler", BlockNumbers)
+    monkeypatch.setattr(cost, "walk_in_place", fail_in_block_zero)
+    monkeypatch.setattr(cost, "_worker_count", lambda: 3)
+    threads = threading.active_count()
+    summary = CostSummary(adc=1.0, asc=0.0, months=1)
+    raised = []
+
+    def call():
+        try:
+            sample_cost_moments(0.0, 1.0, 4, summary, 3 * BLOCK_PATHS, seed=0)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["block 0 failed"]
+    assert walked[1] + walked[2] == 3  # they waited, and stopped at the error
+    assert threading.active_count() == threads
+
+
+def traced_peak(monkeypatch, workers, horizon, count):
+    """tracemalloc peak of one sample_cost_moments call on ``workers`` threads."""
+    monkeypatch.setattr(cost, "_worker_count", lambda: workers)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     tracemalloc.start()
     try:
-        sample_cost_moments(10.0, 2.0, 12, summary, 1_000_000, seed=1)
+        sample_cost_moments(10.0, 2.0, horizon, summary, count, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    return peak
+
+
+def test_sample_cost_moments_memory_does_not_grow_with_count(monkeypatch):
+    # Two workers hold about one block of 2**16 x 12 floats (6.3 MB) ahead
+    # plus the reserve pieces; the cost matrix itself would be 96 MB.
+    assert traced_peak(monkeypatch, 2, 12, 1_000_000) < 12 * 2**20
+
+
+def test_sample_cost_moments_memory_is_bounded_by_the_ahead_budget(monkeypatch):
+    # Eight workers on nine blocks: seven fill ahead of the head block.
+    peak = traced_peak(monkeypatch, 8, 12, 9 * BLOCK_PATHS)
+    assert peak <= 7 * cost.AHEAD_BYTES + cost.RESERVE_PIECES * cost.PIECE_BYTES
+
+
+def test_sample_cost_moments_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # One block of 2**16 x 500 floats is 262 MB; two blocks take two workers,
+    # one of them filling ahead.
+    peak = traced_peak(monkeypatch, 8, 500, BLOCK_PATHS + 1)
+    pieces = cost.RESERVE_PIECES + 1  # the reserve, and slack for the rest
+    assert peak <= cost.AHEAD_BYTES + pieces * cost.PIECE_BYTES
 
 
 def test_sample_cost_moments_need_two_paths():

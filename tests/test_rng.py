@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovband.rng import stream_filler, substream
+from markovband.rng import BLOCK_PATHS, stream_filler, substream
 
 
 @pytest.mark.parametrize("seed, start, stop, cols", [
@@ -28,3 +30,22 @@ def test_filled_column_slice_rows_are_the_per_stream_draws_bitwise(
 def test_stream_filler_refuses_a_seed_out_of_range(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         stream_filler(seed)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    cols=st.integers(1, 16),
+    cuts=st.lists(st.integers(0, BLOCK_PATHS), max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_block_drawn_in_pieces_is_the_one_call_draw_bitwise(seed, stream, cols, cuts):
+    # one rewind, then the pieces in order, as cost._column_sums draws a block
+    block = np.empty((BLOCK_PATHS, cols))
+    edges = [0, *sorted(cuts), BLOCK_PATHS]
+    fill = stream_filler(seed)
+    fill(stream, block[: edges[1]])
+    for start, stop in zip(edges[1:], edges[2:]):
+        fill.resume(block[start:stop])
+    expect = substream(seed, stream).standard_normal((BLOCK_PATHS, cols))
+    assert block.tobytes() == expect.tobytes()

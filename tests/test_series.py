@@ -39,6 +39,28 @@ def test_timeseries_labels_roundtrip():
 
 
 @pytest.mark.parametrize(
+    "labels, expected",
+    [
+        (("a", "b"), ("a", "b")),
+        ([1, 2], ("1", "2")),
+        (np.array(["a", "b"]), ("a", "b")),  # np.str_ elements
+        (("a", np.str_("b")), ("a", "b")),
+        ((x for x in ("a", 2)), ("a", "2")),
+    ],
+)
+def test_timeseries_labels_are_exact_strings(labels, expected):
+    ts = TimeSeries(values=[1.0, 2.0], labels=labels)
+    assert ts.labels == expected
+    assert type(ts.labels) is tuple
+    assert [type(label) for label in ts.labels] == [str, str]
+
+
+def test_timeseries_keeps_a_tuple_of_exact_strings():
+    labels = ("a", "b")
+    assert TimeSeries(values=[1.0, 2.0], labels=labels).labels is labels
+
+
+@pytest.mark.parametrize(
     "values",
     [[], [1.0, np.inf], [1.0, np.nan], [[1.0, 2.0], [3.0, 4.0]]],
 )
