@@ -232,9 +232,10 @@ def sample_cost_moments(
     passes of :func:`_column_sums` regenerate the matrix piece by piece, one
     to sum the costs and one to sum their squared deviations from the mean.
     Memory is a fixed pool of pieces per worker thread, whatever ``count``
-    and ``horizon`` are.  A count that fits in one
-    block is summarised from its matrix, drawn once, and so is a horizon of
-    1, whose matrix is one float per path.  ``count`` must be at least 2,
+    and ``horizon`` are.  A count that fits in one block is summarised from
+    its matrix, drawn once, when that matrix takes at most
+    :data:`AHEAD_BYTES`, and so is a horizon of 1, whose matrix is one float
+    per path.  ``count`` must be at least 2,
     the fewest paths a sample stddev needs.  Costs, or moments of them,
     beyond the float64 range are refused with a ValueError.
     """
@@ -242,7 +243,9 @@ def sample_cost_moments(
     rate = summary.per_interruption
     # Costs that overflow become inf or nan, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        if count <= BLOCK_PATHS or horizon == 1:
+        if horizon == 1 or (
+            count <= BLOCK_PATHS and 8 * count * horizon <= AHEAD_BYTES
+        ):
             costs = sample_costs(x0, sigma, horizon, summary, count, seed)
             mean, std = costs.mean(axis=0), costs.std(axis=0, ddof=1)
         else:

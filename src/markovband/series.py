@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -49,10 +49,9 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """An ordered numeric series with optional per-observation labels."""
+    """An ordered numeric series."""
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         arr = _freeze(np.atleast_1d(np.asarray(self.values, dtype=float)))
@@ -63,15 +62,6 @@ class TimeSeries:
         if not np.all(np.isfinite(arr)):
             raise ValueError("series values must be finite")
         object.__setattr__(self, "values", arr)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if set(map(type, labels)) != {str}:  # str() each only when needed
-                labels = tuple(map(str, labels))
-            if len(labels) != arr.size:
-                raise ValueError(
-                    f"got {len(labels)} labels for {arr.size} observations"
-                )
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -187,61 +177,36 @@ def read_csv(source: Source) -> list[list[str]]:
         ) from None
 
 
-def _pick_column(first_row: Sequence[str], column: int | str | None) -> int:
-    """Resolve the value-column index against the first CSV row."""
-    width = len(first_row)
-    if isinstance(column, str):
-        try:
-            return first_row.index(column)
-        except ValueError:
-            raise SeriesFormatError(
-                f"no column named {column!r}; header row is {list(first_row)}"
-            ) from None
-    if column is None:
-        return 0 if width == 1 else width - 1
-    if not -width <= column < width:
-        raise SeriesFormatError(
-            f"column index {column} out of range for {width}-column input"
-        )
-    return column % width
-
-
-def _data_start(first_row: Sequence[str], idx: int, column: int | str | None) -> int:
+def _data_start(head: str) -> int:
     """Index of the first data row: 1 after a header row, else 0.
 
-    A column selected by name needs a header.  Otherwise the first row is a
-    header when its value field does not parse as a float and does not start
-    like a number (``[+-]?[0-9.]`` after leading whitespace); a field that
-    does, such as ``1j`` or ``0x1p3``, is a mistyped value and is refused as
-    data row 1.
+    ``head`` is the last field of the first row.  The first row is a header
+    when that field does not parse as a float and does not start like a
+    number (``[+-]?[0-9.]`` after leading whitespace); a field that does,
+    such as ``1j`` or ``0x1p3``, is a mistyped value and is refused as data
+    row 1.
     """
-    if isinstance(column, str):
-        return 1
-    cell = first_row[idx]
     try:
-        float(cell)
+        float(head)
     except ValueError:
-        lead = cell.lstrip()
+        lead = head.lstrip()
         lead = lead[1:] if lead[:1] in ("+", "-") else lead
         if lead and lead[0] in "0123456789.":
             raise SeriesFormatError(
-                f"non-numeric value {cell!r} in data row 1"
+                f"non-numeric value {head!r} in data row 1"
             ) from None
         return 1
     return 0
 
 
-def _load_plain(text: str, column: int | str | None) -> TimeSeries | None:
-    """The series of ``text`` split at C speed, or None to leave it to csv.
+def _split_plain(text: str) -> tuple[list[str], np.ndarray] | None:
+    """The fields of ``text`` and each line's field count, split at C speed.
 
-    Returns only where the csv module would read ``text`` as plain splits at
-    commas and line breaks: no quote, no NUL (which csv refuses on Python
-    3.10), no CR outside a CRLF, no blank line, no line longer than
-    ``csv.field_size_limit()``, at least two lines, every line as wide as
-    the first and every value finite.  Values are parsed by ``float``, as on
-    the csv path.  The first row is judged by the same column and header
-    rules, and only once csv could raise nothing before them, so an error
-    they raise here is the one the csv path would raise.
+    Returns what :func:`_split_csv` returns, or None to leave the text to
+    it: only text that the csv module reads as plain splits at commas and
+    line breaks is split here.  That is text with no quote, no NUL (which
+    csv refuses on Python 3.10), no CR outside a CRLF, no blank line and no
+    line longer than ``csv.field_size_limit()``.
     """
     if '"' in text or "\x00" in text:
         return None
@@ -249,92 +214,83 @@ def _load_plain(text: str, column: int | str | None) -> TimeSeries | None:
         if text.count("\r") != text.count("\r\n"):
             return None
         text = text.replace("\r\n", "\n")
-    if "\n\n" in text or text.startswith("\n"):
+    if not text or "\n\n" in text or text.startswith("\n"):
         return None
     text = text.removesuffix("\n")
     # Byte counts: "\n" and "," never occur inside a multi-byte UTF-8
     # character, and a line has at least as many bytes as characters.
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
     edges = np.concatenate(([-1], np.flatnonzero(data == ord("\n")), [data.size]))
-    if edges.size < 3 or (np.diff(edges) - 1).max() > csv.field_size_limit():
+    if (np.diff(edges) - 1).max() > csv.field_size_limit():
         return None
-
-    head = text.partition("\n")[0].split(",")
-    idx = _pick_column(head, column)
-    start = _data_start(head, idx, column)
-    width = len(head)
-    if edges.size - 1 - start < 2:
-        return None
-    if width > 1:
-        commas = np.flatnonzero(data == ord(","))
-        if not (np.diff(np.searchsorted(commas, edges)) == width - 1).all():
-            return None
-        fields = text.replace("\n", ",").split(",")
-    else:
-        fields = text.split("\n")  # a line with a comma fails float()
-
-    cells = fields[start * width + idx :: width]
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    labels = tuple(fields[start * width :: width]) if width > 1 and idx != 0 else None
-    return TimeSeries(values=values, labels=labels)
+    commas = np.flatnonzero(data == ord(","))
+    widths = np.diff(np.searchsorted(commas, edges)) + 1
+    return text.replace("\n", ",").split(","), widths
 
 
-def load_series(source: Source, column: int | str | None = None) -> TimeSeries:
-    """Parse CSV text (path or open stream) into a :class:`TimeSeries`.
-
-    ``column`` selects the value column by index or header name; by default a
-    single-column file uses that column and a multi-column file uses the last
-    one.  A header row is detected by attempting to parse the selected field
-    of the first row (see :func:`_data_start`); selecting a column by name
-    requires a header.  When the value column is not the first one, the first
-    column is kept as labels.
-
-    Plain text is split in one pass (:func:`_load_plain`), to exactly what
-    the csv path gives; anything else is read row by row through the csv
-    module, which names the row it refuses.
-    """
-    text = read_text(source)
-    series = _load_plain(text, column)
-    if series is not None:
-        return series
+def _split_csv(text: str) -> tuple[list[str], np.ndarray]:
+    """The fields of the non-blank csv rows of ``text``, and each row's width."""
     rows = [row for row in read_csv(io.StringIO(text)) if row]
-    if not rows:
-        raise SeriesFormatError("input contains no rows")
+    widths = np.array([len(row) for row in rows], dtype=np.intp)
+    return [field for row in rows for field in row], widths
 
-    idx = _pick_column(rows[0], column)
-    data_rows = rows[_data_start(rows[0], idx, column):]
-    if len(data_rows) < 2:
-        raise SeriesFormatError(
-            f"need at least 2 data rows to form a series, got {len(data_rows)}"
-        )
 
-    width = len(rows[0])
-    values = []
-    labels = [] if (width > 1 and idx != 0) else None
-    for i, row in enumerate(data_rows, start=1):
-        if len(row) != width:
-            raise SeriesFormatError(
-                f"data row {i} has {len(row)} fields, expected {width}"
+def _refusal(fields: list[str], widths: list[int], start: int) -> SeriesFormatError:
+    """The error that names the first refused data row.
+
+    A row is refused when it is not as wide as the first row, when its last
+    field does not parse as a float, or when that float is not finite,
+    checked in that order.  ``start`` is the index of the first data row.
+    """
+    width = widths[0]
+    end = width * start  # fields up to the end of the row
+    for i, count in enumerate(widths[start:], start=1):
+        end += count
+        if count != width:
+            return SeriesFormatError(
+                f"data row {i} has {count} fields, expected {width}"
             )
-        cell = row[idx]
+        cell = fields[end - 1]
         try:
             value = float(cell)
         except ValueError:
-            raise SeriesFormatError(
-                f"non-numeric value {cell!r} in data row {i}"
-            ) from None
+            return SeriesFormatError(f"non-numeric value {cell!r} in data row {i}")
         if not math.isfinite(value):
-            raise SeriesFormatError(f"non-finite value {cell!r} in data row {i}")
-        values.append(value)
-        if labels is not None:
-            labels.append(row[0])
+            return SeriesFormatError(f"non-finite value {cell!r} in data row {i}")
+    raise AssertionError("every data row is a finite value")
 
-    return TimeSeries(
-        values=np.array(values, dtype=float),
-        labels=tuple(labels) if labels is not None else None,
-    )
+
+def load_series(source: Source) -> TimeSeries:
+    """Parse CSV text (path or open stream) into a :class:`TimeSeries`.
+
+    The values are the last field of each row; the other fields are not
+    read.  Rows are the csv module's rows of the text, blank ones skipped,
+    and every data row must be as wide as the first row.  The first row is
+    a header when its last field is not a number (see :func:`_data_start`).
+
+    Plain text is split in one pass (:func:`_split_plain`), to exactly the
+    fields the csv module gives (:func:`_split_csv`); either split is then
+    parsed by one ``float`` call a value, and a refused row is named.
+    """
+    text = read_text(source)
+    split = _split_plain(text)
+    fields, widths = split if split is not None else _split_csv(text)
+    if not widths.size:
+        raise SeriesFormatError("input contains no rows")
+    width = int(widths[0])
+    start = _data_start(fields[width - 1])
+    rows = widths.size - start
+    if rows < 2:
+        raise SeriesFormatError(
+            f"need at least 2 data rows to form a series, got {rows}"
+        )
+    if (widths == width).all():
+        cells = fields[(start + 1) * width - 1 :: width]
+        try:
+            values = np.fromiter(map(float, cells), float, rows)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return TimeSeries(values=values)
+    raise _refusal(fields, widths.tolist(), start)

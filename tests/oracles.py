@@ -20,14 +20,15 @@ from markovband.series import SeriesFormatError, TimeSeries
 from markovband.simulate import SimulationReport
 
 
-def reference_load_series(text: str, column: int | str | None = None) -> TimeSeries:
+def reference_load_series(text: str) -> TimeSeries:
     """``load_series`` on decoded text as one loop over ``csv.reader`` rows.
 
-    Every row goes through the csv module and every value through ``float``
-    one at a time, so this defines what the loader accepts and how it names
-    what it refuses.  The first row is a header when its value field does not
-    parse and does not start like a number (``[+-]?[0-9.]`` after leading
-    whitespace); one that starts like a number is refused as data row 1.
+    Every row goes through the csv module and every value, the last field
+    of a row, through ``float`` one at a time, so this defines what the
+    loader accepts and how it names what it refuses.  The first row is a
+    header when its last field does not parse and does not start like a
+    number (``[+-]?[0-9.]`` after leading whitespace); one that starts like
+    a number is refused as data row 1.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -38,60 +39,36 @@ def reference_load_series(text: str, column: int | str | None = None) -> TimeSer
         raise SeriesFormatError("input contains no rows")
 
     width = len(rows[0])
-    if isinstance(column, str):
-        if column not in rows[0]:
-            raise SeriesFormatError(
-                f"no column named {column!r}; header row is {rows[0]}"
-            )
-        idx = rows[0].index(column)
-    elif column is None:
-        idx = 0 if width == 1 else width - 1
-    elif -width <= column < width:
-        idx = column % width
-    else:
-        raise SeriesFormatError(
-            f"column index {column} out of range for {width}-column input"
-        )
-
     data_rows = rows
-    if isinstance(column, str):
+    try:
+        float(rows[0][-1])
+    except ValueError:
+        if re.match(r"\s*[+-]?[0-9.]", rows[0][-1]):
+            raise SeriesFormatError(
+                f"non-numeric value {rows[0][-1]!r} in data row 1"
+            ) from None
         data_rows = rows[1:]
-    else:
-        try:
-            float(rows[0][idx])
-        except ValueError:
-            if re.match(r"\s*[+-]?[0-9.]", rows[0][idx]):
-                raise SeriesFormatError(
-                    f"non-numeric value {rows[0][idx]!r} in data row 1"
-                ) from None
-            data_rows = rows[1:]
     if len(data_rows) < 2:
         raise SeriesFormatError(
             f"need at least 2 data rows to form a series, got {len(data_rows)}"
         )
 
     values = []
-    labels = [] if (width > 1 and idx != 0) else None
     for i, row in enumerate(data_rows, start=1):
         if len(row) != width:
             raise SeriesFormatError(
                 f"data row {i} has {len(row)} fields, expected {width}"
             )
         try:
-            value = float(row[idx])
+            value = float(row[-1])
         except ValueError:
             raise SeriesFormatError(
-                f"non-numeric value {row[idx]!r} in data row {i}"
+                f"non-numeric value {row[-1]!r} in data row {i}"
             ) from None
         if not math.isfinite(value):
-            raise SeriesFormatError(f"non-finite value {row[idx]!r} in data row {i}")
+            raise SeriesFormatError(f"non-finite value {row[-1]!r} in data row {i}")
         values.append(value)
-        if labels is not None:
-            labels.append(row[0])
-    return TimeSeries(
-        values=np.array(values, dtype=float),
-        labels=tuple(labels) if labels is not None else None,
-    )
+    return TimeSeries(values=np.array(values, dtype=float))
 
 
 def mc_order_stat_weights(

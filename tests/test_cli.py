@@ -405,6 +405,30 @@ def test_simulate_overflowing_walks_exit_2_with_one_error_line():
     assert only_error_line(proc.stderr), proc.stderr
 
 
+@pytest.mark.parametrize("call, argv", [
+    ("band", ["forecast", "--input", WALK, "--horizon", "1000000000000"]),
+    ("band", ["cost", "--input", WALK, "--events", EVENTS, "--rates", RATES,
+              "--horizon", "1000000000000"]),
+    ("sample_cost_moments", ["cost", "--input", WALK, "--events", EVENTS,
+                             "--rates", RATES, "--sample", "1000000000000",
+                             "--horizon", "1"]),
+    ("run_calibration", ["simulate", "--length", "100000000000"]),
+])
+def test_a_size_beyond_memory_exits_2_with_one_error_line(capsys, monkeypatch, call, argv):
+    # The call that allocates the sized arrays fails as numpy's does; a real
+    # allocation of terabytes may or may not fail, by the host's overcommit.
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, call, out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cr_only_line_endings_load(capsys, tmp_path):
     series = tmp_path / "series.csv"
     series.write_bytes(Path(WALK).read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r"))

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  imported here, so no traced peak counts its import
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,7 +169,7 @@ def test_sample_cost_moments_refuse_costs_beyond_float64(count, x0, rate):
     # their mean finite but not the squared deviations behind the stddev.
     summary = CostSummary(adc=rate, asc=0.0, months=1)
     with pytest.raises(ValueError, match="sampled costs exceed the float64 range"):
-        sample_cost_moments(x0, 1.0, 2, summary, count, seed=1)
+        moments(x0, 1.0, 2, summary, count, 1)
 
 
 def test_sample_costs_are_scaled_paths_bitwise():
@@ -178,8 +179,34 @@ def test_sample_costs_are_scaled_paths_bitwise():
     assert np.array_equal(costs, paths * summary.per_interruption)
 
 
+def moments(*args, timeout=60):
+    """``sample_cost_moments(*args)`` on a thread of its own, or a failure.
+
+    The call's workers wait on each other, so a deadlock among them would
+    hang the suite: past ``timeout`` seconds the test fails instead.
+    Threads started by a daemon thread are daemons too, so a hung call
+    does not keep the process alive.
+    """
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(sample_cost_moments(*args))
+        except BaseException as exc:  # raised again on the test's thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    if thread.is_alive():
+        pytest.fail(f"sample_cost_moments{args[2:5]} still running after {timeout} s")
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
 def assert_matrix_moments(x0, sigma, horizon, summary, count, seed):
-    mean, std = sample_cost_moments(x0, sigma, horizon, summary, count, seed)
+    mean, std = moments(x0, sigma, horizon, summary, count, seed)
     costs = sample_costs(x0, sigma, horizon, summary, count, seed)
     expected_mean = costs.mean(axis=0)
     expected_std = costs.std(axis=0, ddof=1)
@@ -208,19 +235,13 @@ def test_sample_cost_moments_keep_signed_zeros(horizon):
 def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers):
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     count = 5 * BLOCK_PATHS + 3
-    expected = [
-        sample_cost_moments(3.0, 0.5, horizon, summary, count, seed=11)
-        for horizon in (1, 2)
-    ]
+    expected = [moments(3.0, 0.5, horizon, summary, count, 11) for horizon in (1, 2)]
     monkeypatch.setattr(cost, "_worker_count", lambda: workers)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
     try:
-        got = [
-            sample_cost_moments(3.0, 0.5, horizon, summary, count, seed=11)
-            for horizon in (1, 2)
-        ]
+        got = [moments(3.0, 0.5, horizon, summary, count, 11) for horizon in (1, 2)]
     finally:
         sys.setswitchinterval(interval)
     for (mean, std), (want_mean, want_std) in zip(got, expected):
@@ -251,6 +272,13 @@ def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
     assert_matrix_moments(-5.0, 1.0, horizon, zero, count, seed=2)
 
 
+@pytest.mark.parametrize("count, horizon", [(2, 17), (400, 17), (BLOCK_PATHS, 100)])
+def test_streamed_single_blocks_are_the_matrix_moments(monkeypatch, count, horizon):
+    monkeypatch.setattr(cost, "AHEAD_BYTES", 0)  # stream any matrix
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    assert_matrix_moments(-1.0, 2.0, horizon, summary, count, seed=9)
+
+
 class BlockNumbers:
     """A filler stub whose noise is the number of the block being drawn."""
 
@@ -276,7 +304,7 @@ def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
     with pytest.raises(RuntimeError, match="block 2 failed"):
-        sample_cost_moments(0.0, 1.0, 4, summary, 6 * BLOCK_PATHS, seed=0)
+        moments(0.0, 1.0, 4, summary, 6 * BLOCK_PATHS, 0)
     assert threading.active_count() == threads
 
 
@@ -302,19 +330,8 @@ def test_a_worker_error_ends_the_call_while_other_workers_wait(monkeypatch):
     monkeypatch.setattr(cost, "_worker_count", lambda: 3)
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
-    raised = []
-
-    def call():
-        try:
-            sample_cost_moments(0.0, 1.0, 4, summary, 3 * BLOCK_PATHS, seed=0)
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=call)
-    caller.start()
-    caller.join(timeout=30)
-    assert not caller.is_alive()
-    assert [str(exc) for exc in raised] == ["block 0 failed"]
+    with pytest.raises(RuntimeError, match="^block 0 failed$"):
+        moments(0.0, 1.0, 4, summary, 3 * BLOCK_PATHS, 0, timeout=30)
     assert walked[1] + walked[2] == 3  # they waited, and stopped at the error
     assert threading.active_count() == threads
 
@@ -325,7 +342,7 @@ def traced_peak(monkeypatch, workers, horizon, count):
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     tracemalloc.start()
     try:
-        sample_cost_moments(10.0, 2.0, horizon, summary, count, seed=1)
+        moments(10.0, 2.0, horizon, summary, count, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,6 +367,12 @@ def test_sample_cost_moments_memory_does_not_grow_with_the_horizon(monkeypatch):
     peak = traced_peak(monkeypatch, 8, 500, BLOCK_PATHS + 1)
     pieces = cost.RESERVE_PIECES + 1  # the reserve, and slack for the rest
     assert peak <= cost.AHEAD_BYTES + pieces * cost.PIECE_BYTES
+
+
+def test_a_single_block_past_the_ahead_budget_is_streamed(monkeypatch):
+    # 2**16 x 100 floats is 52 MB; one worker streams it through the reserve.
+    peak = traced_peak(monkeypatch, 8, 100, BLOCK_PATHS)
+    assert peak <= (cost.RESERVE_PIECES + 1) * cost.PIECE_BYTES
 
 
 def test_sample_cost_moments_need_two_paths():

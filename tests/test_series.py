@@ -24,40 +24,12 @@ def test_timeseries_basics():
     ts = TimeSeries(values=[1.0, 2.5, 4.0])
     assert len(ts) == 3
     assert ts.values.dtype == np.float64
-    assert ts.labels is None
 
 
 def test_timeseries_is_immutable():
     ts = TimeSeries(values=[1.0, 2.0])
     with pytest.raises(ValueError):
         ts.values[0] = 9.0
-
-
-def test_timeseries_labels_roundtrip():
-    ts = TimeSeries(values=[1.0, 2.0], labels=["a", "b"])
-    assert ts.labels == ("a", "b")
-
-
-@pytest.mark.parametrize(
-    "labels, expected",
-    [
-        (("a", "b"), ("a", "b")),
-        ([1, 2], ("1", "2")),
-        (np.array(["a", "b"]), ("a", "b")),  # np.str_ elements
-        (("a", np.str_("b")), ("a", "b")),
-        ((x for x in ("a", 2)), ("a", "2")),
-    ],
-)
-def test_timeseries_labels_are_exact_strings(labels, expected):
-    ts = TimeSeries(values=[1.0, 2.0], labels=labels)
-    assert ts.labels == expected
-    assert type(ts.labels) is tuple
-    assert [type(label) for label in ts.labels] == [str, str]
-
-
-def test_timeseries_keeps_a_tuple_of_exact_strings():
-    labels = ("a", "b")
-    assert TimeSeries(values=[1.0, 2.0], labels=labels).labels is labels
 
 
 @pytest.mark.parametrize(
@@ -67,11 +39,6 @@ def test_timeseries_keeps_a_tuple_of_exact_strings():
 def test_timeseries_rejects_bad_values(values):
     with pytest.raises(ValueError):
         TimeSeries(values=np.array(values))
-
-
-def test_timeseries_rejects_label_mismatch():
-    with pytest.raises(ValueError):
-        TimeSeries(values=[1.0, 2.0], labels=["only-one"])
 
 
 def test_difference_known_values():
@@ -139,7 +106,6 @@ def test_difference_translation_invariant_bitwise(values, shift):
 def test_load_single_column_no_header():
     ts = load_series(io.StringIO("1.5\n2.5\n3.5\n"))
     assert np.array_equal(ts.values, [1.5, 2.5, 3.5])
-    assert ts.labels is None
 
 
 def test_load_single_column_with_header():
@@ -168,20 +134,6 @@ def test_load_takes_a_first_row_that_does_not_start_like_a_number_as_header(head
 def test_load_multi_column_defaults_to_last():
     ts = load_series(io.StringIO("month,count\nJan,5\nFeb,7\nMar,6\n"))
     assert np.array_equal(ts.values, [5.0, 7.0, 6.0])
-    assert ts.labels == ("Jan", "Feb", "Mar")
-
-
-def test_load_column_by_name():
-    text = "month,count,extra\nJan,5,0\nFeb,7,0\n"
-    ts = load_series(io.StringIO(text), column="count")
-    assert np.array_equal(ts.values, [5.0, 7.0])
-    assert ts.labels == ("Jan", "Feb")
-
-
-def test_load_column_by_index_and_negative_index():
-    text = "a,b\n1,10\n2,20\n"
-    assert np.array_equal(load_series(io.StringIO(text), column=0).values, [1.0, 2.0])
-    assert np.array_equal(load_series(io.StringIO(text), column=-1).values, [10.0, 20.0])
 
 
 def test_load_from_path(tmp_path):
@@ -221,16 +173,6 @@ def test_load_rejects_ragged_rows():
         load_series(io.StringIO("a,b\n1,2\n3\n"))
 
 
-def test_load_unknown_column_name():
-    with pytest.raises(SeriesFormatError, match="no column named 'missing'"):
-        load_series(io.StringIO("a,b\n1,2\n3,4\n"), column="missing")
-
-
-def test_load_column_index_out_of_range():
-    with pytest.raises(SeriesFormatError, match="out of range"):
-        load_series(io.StringIO("1,2\n3,4\n"), column=5)
-
-
 def test_load_skips_a_utf8_bom():
     series = load_series(io.BytesIO(b"\xef\xbb\xbf1.0\n2.0\n3.5\n"))
     assert series.values.tolist() == [1.0, 2.0, 3.5]
@@ -241,14 +183,12 @@ def test_load_accepts_each_line_ending(end):
     text = end.join(["t,v", "a,1", "b,2.5", "c,3"]) + end
     series = load_series(io.StringIO(text))
     assert series.values.tolist() == [1.0, 2.5, 3.0]
-    assert series.labels == ("a", "b", "c")
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_load_keeps_line_breaks_inside_quoted_labels(end):
     text = end.join(["t,v", f'"a{end}b",1', "c,2"]) + end
     series = load_series(io.StringIO(text))
-    assert series.labels == (f"a{end}b", "c")
     assert series.values.tolist() == [1.0, 2.0]
 
 
