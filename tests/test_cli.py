@@ -459,6 +459,20 @@ def test_simulate_matches_library_run(capsys):
     assert "0.68" in err  # stderr explains the expected coverage level
 
 
+GOLDEN_SIMULATE = json.loads((DATA / "simulate_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_SIMULATE, ids=lambda case: " ".join(case["argv"][4:7:2])
+)
+def test_simulate_stdout_is_the_golden_bytes(capsys, case):
+    # recorded from one scalar p-value per trial, each from a stream rewound
+    # through numpy's array state; L = 10, 11 and 12 reach every Royston branch
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
 def test_simulate_bad_trials_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "--trials", "50")
     assert code == 2

@@ -231,7 +231,7 @@ def test_sample_cost_moments_keep_signed_zeros(horizon):
     assert_matrix_moments(-5.0, 0.0, horizon, summary, 40, seed=2)
 
 
-@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("workers", [1, 3, 8, 16])
 def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers):
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     count = 5 * BLOCK_PATHS + 3
@@ -356,9 +356,17 @@ def test_sample_cost_moments_memory_does_not_grow_with_count(monkeypatch):
 
 
 def test_sample_cost_moments_memory_is_bounded_by_the_ahead_budget(monkeypatch):
-    # Eight workers on nine blocks: seven fill ahead of the head block.
+    # Eight CPUs on nine blocks: the workers that fill ahead of the head
+    # block share one pool of POOL_BYTES, not AHEAD_BYTES each.
     peak = traced_peak(monkeypatch, 8, 12, 9 * BLOCK_PATHS)
-    assert peak <= 7 * cost.AHEAD_BYTES + cost.RESERVE_PIECES * cost.PIECE_BYTES
+    assert peak <= cost.POOL_BYTES + cost.RESERVE_PIECES * cost.PIECE_BYTES
+
+
+def test_sample_cost_moments_memory_does_not_grow_with_the_worker_count(monkeypatch):
+    # A pool of AHEAD_BYTES per worker took 99 MB here at 16 workers, about
+    # the 96 MB cost matrix itself.
+    peak = traced_peak(monkeypatch, 16, 12, 1_000_000)
+    assert peak <= cost.POOL_BYTES + cost.RESERVE_PIECES * cost.PIECE_BYTES
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_the_horizon(monkeypatch):

@@ -18,7 +18,7 @@ from markovband.swilk import (
     sw_statistic,
     sw_test,
 )
-from oracles import reference_sw_weights
+from oracles import reference_sw_pvalue, reference_sw_weights
 
 # Frozen regression values for substream(8675309, 0).standard_normal(50).
 REGRESSION_SEED = 8675309
@@ -212,6 +212,73 @@ def test_pvalue_domain():
         sw_pvalue(1.1, 10)
     with pytest.raises(ValueError):
         sw_pvalue(0.9, 2)
+
+
+def same_bits(got, want):
+    """Arrays of p-values that are equal bit for bit."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# W spread over (0, 1], W near 1 where the tests decide, and a few ulp above 1.
+W_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=0.7, max_value=1.0),
+    st.integers(0, 8).map(lambda k: 1.0 + k * 2.0**-52),
+)
+
+
+@given(
+    n=st.one_of(st.integers(3, 12), st.integers(3, MAX_SAMPLE)),
+    ws=st.lists(W_VALUES, min_size=1, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_array_pvalues_are_the_scalar_formula_bitwise(n, ws):
+    want = [reference_sw_pvalue(w, n) for w in ws]
+    assert same_bits(sw_pvalue(np.array(ws), n), want)
+    for w, p in zip(ws, want):
+        got = sw_pvalue(w, n)
+        assert type(got) is float and same_bits(got, p)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 11, 12, 50, MAX_SAMPLE])
+def test_array_pvalues_match_the_scalar_formula_at_the_edges(n):
+    above = [1.0 + k * 2.0**-52 for k in range(1, 5)]  # a few ulp above 1
+    # 0.2 at n = 4 clips at arg <= 0; below 0.75 the n = 3 law clamps at 0.
+    ws = [1.0, *above, 0.75, 0.7499999, 0.2, 5e-324, 0.5, 1.0 - 2.0**-53]
+    ws += np.linspace(0.01, 1.0, 4001).tolist()
+    want = [reference_sw_pvalue(w, n) for w in ws]
+    assert same_bits(sw_pvalue(np.array(ws), n), want)
+    grid = np.array(ws).reshape(2, -1)  # any shape, element by element
+    assert same_bits(sw_pvalue(grid, n), np.reshape(want, grid.shape))
+    assert sw_pvalue(np.array(above), n).tolist() == [sw_pvalue(1.0, n)] * 4
+
+
+def test_pvalue_clips_where_the_small_sample_transform_is_undefined():
+    # gamma - log1p(-W) <= 0 for W <= 1 - exp(gamma), where p is 0; of
+    # 4 <= n <= 11 only n = 4 has gamma < 0, so only there is W that small
+    edge = -math.expm1(-2.273 + 0.459 * 4)
+    ws = np.array([edge / 2, edge, math.nextafter(edge, 1.0), (edge + 1) / 2])
+    want = [reference_sw_pvalue(w, 4) for w in ws.tolist()]
+    assert want[0] == 0.0 and want[-1] > 0.0
+    assert same_bits(sw_pvalue(ws, 4), want)
+
+
+def test_pvalue_at_n3_is_clamped_to_the_unit_interval():
+    ws = np.array([0.1, 0.75, 0.7500001, 1.0, 1.0 + 1e-12])
+    got = sw_pvalue(ws, 3)
+    assert got[0] == 0.0 and got[-1] == got[-2] <= 1.0
+    assert same_bits(got, [reference_sw_pvalue(w, 3) for w in ws.tolist()])
+
+
+def test_array_pvalue_refuses_the_first_w_out_of_range():
+    with pytest.raises(ValueError, match=r"^W must lie in \(0, 1\], got 1\.1$"):
+        sw_pvalue(np.array([[0.5, 0.9], [1.1, 0.0]]), 10)
+    with pytest.raises(ValueError, match=r"^W must lie in \(0, 1\], got nan$"):
+        sw_pvalue(np.array([0.5, math.nan]), 20)
+    with pytest.raises(ValueError, match=r"^sample size must be in \[3, 5000\], got 2$"):
+        sw_pvalue(np.array([0.5]), 2)
+    assert sw_pvalue(np.empty((0, 3)), 12).shape == (0, 3)
 
 
 # --------------------------------------------------------------- decision
