@@ -23,30 +23,12 @@ import argparse
 import math
 
 from markovband import DEFAULT_SEED, run_calibration
+from markovband.simulate import t_coverage
 
 TRIALS = 4000
 HORIZON = 12
 SIGMA = 1.0
 WALK_LENGTHS = (20, 50, 100, 200)
-
-
-def t_coverage(df: int, t: float = 1.0) -> float:
-    """P(|T| <= t) for Student-t with integer df >= 1 (A&S 26.7.3-4)."""
-    theta = math.atan(t / math.sqrt(df))
-    c2 = math.cos(theta) ** 2
-    if df % 2:
-        # odd df: (2/pi) (theta + sin cos (1 + 2/3 cos^2 + 2*4/(3*5) cos^4 ...))
-        term, total = 1.0, 0.0
-        for j in range(1, (df - 1) // 2 + 1):
-            total += term
-            term *= c2 * (2 * j) / (2 * j + 1)
-        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
-    # even df: sin (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ...)
-    term, total = 1.0, 0.0
-    for j in range(1, df // 2 + 1):
-        total += term
-        term *= c2 * (2 * j - 1) / (2 * j)
-    return math.sin(theta) * total
 
 
 def main() -> None:

@@ -15,8 +15,6 @@ from .cost import (
     CostRates,
     CostSummary,
     MonthlyEvents,
-    compute_adc,
-    compute_asc,
     cost_band,
     load_events,
     load_rates,
@@ -44,7 +42,6 @@ from .swilk import (
     RULE_PAPER_THRESHOLD,
     RULES,
     InapplicableSampleError,
-    SWCoefficients,
     SWResult,
     sw_coefficients,
     sw_decide,
@@ -74,15 +71,12 @@ __all__ = [
     "InapplicableSampleError",
     "MarkovVerdict",
     "MonthlyEvents",
-    "SWCoefficients",
     "SWResult",
     "SeriesFormatError",
     "SimulationReport",
     "TimeSeries",
     "band",
     "check_markov",
-    "compute_adc",
-    "compute_asc",
     "cost_band",
     "difference",
     "generate_walk",

@@ -27,7 +27,7 @@ from .forecast import ForecastBand, band
 from .markov import MarkovVerdict, check_markov
 from .rng import DEFAULT_SEED
 from .series import load_series
-from .simulate import run_calibration
+from .simulate import run_calibration, t_coverage
 from .swilk import RULE_PAPER_THRESHOLD, RULES
 
 __all__ = ["main", "build_parser"]
@@ -327,9 +327,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     print(report.to_json())
+    df = args.length - 2
     print(
         f"coverage is measured against +/- 1 sigma-hat bands {_MODEL_NOTE}; "
-        "~0.68 per step is the calibrated value",
+        f"P(|T_{df}| <= 1) = {t_coverage(df):.4f} per step is the calibrated value",
         file=sys.stderr,
     )
     return 0

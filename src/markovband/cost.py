@@ -31,8 +31,6 @@ __all__ = [
     "MonthlyEvents",
     "CostSummary",
     "CostBand",
-    "compute_adc",
-    "compute_asc",
     "summarize_costs",
     "cost_band",
     "sample_costs",
@@ -106,7 +104,7 @@ class CostSummary:
         return self.adc + self.asc
 
 
-def _averages(months: Sequence[MonthlyEvents], rates: CostRates) -> tuple[float, float]:
+def summarize_costs(months: Sequence[MonthlyEvents], rates: CostRates) -> CostSummary:
     """ADC and ASC from one pass over the months, each checked as it comes."""
     if len(months) == 0:
         raise ValueError("need at least one month of event counts")
@@ -131,22 +129,11 @@ def _averages(months: Sequence[MonthlyEvents], rates: CostRates) -> tuple[float,
             raise ValueError(
                 f"month {i} has event counts beyond the float64 range"
             ) from None
-    return direct_total / len(months), spare_total / len(months)
-
-
-def compute_adc(months: Sequence[MonthlyEvents], rates: CostRates) -> float:
-    """Average direct cost per schedule interruption across months."""
-    return _averages(months, rates)[0]
-
-
-def compute_asc(months: Sequence[MonthlyEvents], rates: CostRates) -> float:
-    """Average spare-aircraft cost per schedule interruption across months."""
-    return _averages(months, rates)[1]
-
-
-def summarize_costs(months: Sequence[MonthlyEvents], rates: CostRates) -> CostSummary:
-    adc, asc = _averages(months, rates)
-    return CostSummary(adc=adc, asc=asc, months=len(months))
+    return CostSummary(
+        adc=direct_total / len(months),
+        asc=spare_total / len(months),
+        months=len(months),
+    )
 
 
 @dataclass(frozen=True, eq=False)

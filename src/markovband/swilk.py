@@ -35,7 +35,6 @@ __all__ = [
     "RULE_PAPER_THRESHOLD",
     "RULE_P_VALUE",
     "RULES",
-    "SWCoefficients",
     "SWResult",
     "InapplicableSampleError",
     "sw_coefficients",
@@ -55,14 +54,6 @@ RULES = (RULE_PAPER_THRESHOLD, RULE_P_VALUE)
 
 class InapplicableSampleError(ValueError):
     """Raised when W is undefined because all sample values are equal."""
-
-
-@dataclass(frozen=True, eq=False)
-class SWCoefficients:
-    """Weight vector a_1..a_n for sample size n (read-only array)."""
-
-    n: int
-    a: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,13 +111,13 @@ def _check_sample_size(n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def sw_coefficients(n: int) -> SWCoefficients:
-    """Shapiro-Wilk weights for sample size n in [3, 5000].
+def sw_coefficients(n: int) -> np.ndarray:
+    """Shapiro-Wilk weights a_1..a_n for sample size n in [3, 5000].
 
     The vector is built from its positive half and mirrored, so the
     antisymmetry a_k = -a_{n+1-k} holds bitwise, and it is renormalized so
-    that sum a_k^2 = 1 to machine precision.  Results are cached; the array
-    is write-protected.
+    that sum a_k^2 = 1 to machine precision.  The read-only array is
+    cached: a size asked for again returns the same object.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"sample size must be an integer, got {type(n).__name__}")
@@ -141,7 +132,7 @@ def sw_coefficients(n: int) -> SWCoefficients:
         a[half] = 0.0
     a /= math.sqrt(float(a @ a))
     a.setflags(write=False)
-    return SWCoefficients(n=n, a=a)
+    return a
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,7 +163,7 @@ def sw_statistic(sample: np.ndarray) -> float | np.ndarray:
             "sample spread is zero (values all equal, or indistinguishable "
             "at float precision); the W statistic is undefined"
         )
-    b = _row_dot(x, sw_coefficients(n).a)
+    b = _row_dot(x, sw_coefficients(n))
     w = b * b / ss
     return float(w) if x.ndim == 1 else w
 

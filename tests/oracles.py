@@ -257,7 +257,7 @@ def reference_sw_weights(n: int) -> np.ndarray:
 
     Each Blom score is one :func:`reference_norm_ppf` call; the corrections,
     mirroring and renormalisation follow Royston (1992) as the library
-    applies them, so the result must equal ``sw_coefficients(n).a`` bitwise.
+    applies them, so the result must equal ``sw_coefficients(n)`` bitwise.
     """
     half = n // 2
     if n == 3:

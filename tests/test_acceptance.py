@@ -51,13 +51,13 @@ def test_c1_weights_match_monte_carlo_oracle():
         reference = mc_order_stat_weights(n, draws, seed=ORACLE_SEED)
         oracle_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        packaged = mb.sw_coefficients(n).a
+        packaged = mb.sw_coefficients(n)
         package_time = time.perf_counter() - t0
         dev = float(np.max(np.abs(packaged - reference)))
         details.append(f"n={n} dev={dev:.1e}")
         ok &= dev <= 5e-3 and oracle_time <= 300.0 and package_time <= 1.0
     exact3 = np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-    dev3 = float(np.max(np.abs(mb.sw_coefficients(3).a - exact3)))
+    dev3 = float(np.max(np.abs(mb.sw_coefficients(3) - exact3)))
     ok &= dev3 <= 1e-3
     _report(
         "C1 shapiro-wilk weights vs monte-carlo oracle",

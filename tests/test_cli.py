@@ -456,7 +456,8 @@ def test_simulate_matches_library_run(capsys):
     report = mb.run_calibration(trials=150, walk_length=20, horizon=4, seed=11)
     assert code == 0
     assert payload == report.to_dict()
-    assert "0.68" in err  # stderr explains the expected coverage level
+    # stderr gives the exact per-step coverage at this length, P(|T_{L-2}| <= 1)
+    assert err.endswith("; P(|T_18| <= 1) = 0.6694 per step is the calibrated value\n")
 
 
 GOLDEN_SIMULATE = json.loads((DATA / "simulate_golden.json").read_text())
@@ -471,6 +472,23 @@ def test_simulate_stdout_is_the_golden_bytes(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]
+
+
+GOLDEN_CLI = json.loads((DATA / "cli_golden.json").read_text())
+
+
+def golden_id(case):
+    command, _, path, *rest = case["argv"]
+    flags = [a for a in rest if "/" not in a and a not in ("--events", "--rates")]
+    return " ".join([command, Path(path).name, *flags])
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI, ids=golden_id)
+def test_cli_output_is_the_golden_bytes(capsys, monkeypatch, case):
+    # check, forecast and cost on every tests/data/*.csv under both rules;
+    # stdout, stderr and exit code as recorded, with paths from the repo root
+    monkeypatch.chdir(DATA.parents[1])
+    assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_simulate_bad_trials_exits_2(capsys):

@@ -19,8 +19,6 @@ from markovband.cost import (
     CostRates,
     CostSummary,
     MonthlyEvents,
-    compute_adc,
-    compute_asc,
     cost_band,
     load_events,
     load_rates,
@@ -61,9 +59,9 @@ def months_strategy():
 
 def test_worked_example_is_exact():
     assert WORKED_MONTH.total_interruptions == 4
-    assert compute_adc([WORKED_MONTH], WORKED_RATES) == 22_500.0
-    assert compute_asc([WORKED_MONTH], WORKED_RATES) == 3_750.0
     summary = summarize_costs([WORKED_MONTH], WORKED_RATES)
+    assert summary.adc == 22_500.0
+    assert summary.asc == 3_750.0
     assert summary.per_interruption == 26_250.0
     assert summary.months == 1
 
@@ -74,8 +72,9 @@ def test_spares_are_costed_but_not_interruptions():
     assert month.total_interruptions == 1
     rates = CostRates(delay=0.0, cancellation=0.0, diversion=0.0,
                       air_turnback=0.0, spare=10.0)
-    assert compute_adc([month], rates) == 0.0
-    assert compute_asc([month], rates) == 500.0
+    summary = summarize_costs([month], rates)
+    assert summary.adc == 0.0
+    assert summary.asc == 500.0
 
 
 @given(months_strategy(),
@@ -83,26 +82,21 @@ def test_spares_are_costed_but_not_interruptions():
                  diversion=rate_st, air_turnback=rate_st, spare=rate_st))
 @settings(max_examples=150, deadline=None)
 def test_adc_asc_match_oracle(months, rates):
-    assert compute_adc(months, rates) == pytest.approx(
-        oracle_adc(months, rates), rel=1e-9
-    )
-    assert compute_asc(months, rates) == pytest.approx(
-        oracle_asc(months, rates), rel=1e-9
-    )
+    summary = summarize_costs(months, rates)
+    assert summary.adc == pytest.approx(oracle_adc(months, rates), rel=1e-9)
+    assert summary.asc == pytest.approx(oracle_asc(months, rates), rel=1e-9)
 
 
 def test_zero_interruption_month_is_named():
     quiet = MonthlyEvents(delays=0, cancellations=0, diversions=0,
                           air_turnbacks=0, spares=2)
     with pytest.raises(ValueError, match="month 2"):
-        compute_adc([WORKED_MONTH, quiet], WORKED_RATES)
-    with pytest.raises(ValueError, match="month 2"):
-        compute_asc([WORKED_MONTH, quiet], WORKED_RATES)
+        summarize_costs([WORKED_MONTH, quiet], WORKED_RATES)
 
 
 def test_empty_months_rejected():
     with pytest.raises(ValueError, match="at least one month"):
-        compute_adc([], WORKED_RATES)
+        summarize_costs([], WORKED_RATES)
 
 
 def test_monthly_events_validation():

@@ -15,6 +15,7 @@ from markovband.simulate import (
     SimulationReport,
     generate_walk,
     run_calibration,
+    t_coverage,
 )
 from markovband.swilk import RULE_P_VALUE, RULE_PAPER_THRESHOLD, RULES
 from oracles import reference_calibration
@@ -221,10 +222,12 @@ def test_calibration_coverage_matches_exact_t_law(walk_length, table):
 
 
 def test_coverage_script_closed_form_matches_scipy():
+    for df in range(1, 300):
+        expect = 2.0 * stats.t.cdf(1.0, df) - 1.0
+        assert t_coverage(df) == pytest.approx(expect, abs=1e-13)
+    # the script reports the library's closed form, not a copy of it
     path = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
     spec = importlib.util.spec_from_file_location("coverage_experiment", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    for df in range(1, 300):
-        expect = 2.0 * stats.t.cdf(1.0, df) - 1.0
-        assert script.t_coverage(df) == pytest.approx(expect, abs=1e-13)
+    assert script.t_coverage is t_coverage

@@ -38,22 +38,22 @@ TABLE_N10 = np.array(
 
 
 def test_weights_n3_closed_form():
-    a = sw_coefficients(3).a
+    a = sw_coefficients(3)
     assert a[0] == -math.sqrt(0.5)
     assert a[1] == 0.0
     assert a[2] == math.sqrt(0.5)
 
 
 def test_weights_match_published_tables():
-    assert np.max(np.abs(sw_coefficients(5).a - TABLE_N5)) < 1e-3
-    assert np.max(np.abs(sw_coefficients(10).a - TABLE_N10)) < 1e-3
+    assert np.max(np.abs(sw_coefficients(5) - TABLE_N5)) < 1e-3
+    assert np.max(np.abs(sw_coefficients(10) - TABLE_N10)) < 1e-3
 
 
 @pytest.mark.parametrize(
     "n", list(range(3, 31)) + [50, 100, 500, 1000, 5000]
 )
 def test_weight_invariants(n):
-    a = sw_coefficients(n).a
+    a = sw_coefficients(n)
     assert a.shape == (n,)
     # antisymmetry holds bitwise by construction
     assert np.array_equal(a, -a[::-1])
@@ -68,7 +68,7 @@ def test_weights_cached_and_frozen():
     first = sw_coefficients(17)
     assert sw_coefficients(17) is first
     with pytest.raises(ValueError):
-        first.a[0] = 0.0
+        first[0] = 0.0
 
 
 @pytest.mark.parametrize("n", [2, 5001, 0, -3])
@@ -341,5 +341,5 @@ def test_sw_test_on_a_batch_is_the_per_row_calls(rule, shape):
 )
 def test_weights_are_bitwise_those_of_scalar_blom_scores(sizes):
     for n in sizes:
-        got = sw_coefficients(n).a
+        got = sw_coefficients(n)
         assert np.array_equal(got.view(np.uint64), reference_sw_weights(n).view(np.uint64)), n
