@@ -162,9 +162,9 @@ def run_calibration(
     )
 
 
-def t_coverage(df: int, t: float = 1.0) -> float:
-    """P(|T| <= t) for Student-t with integer df >= 1 (A&S 26.7.3-4)."""
-    theta = math.atan(t / math.sqrt(df))
+def t_coverage(df: int) -> float:
+    """P(|T| <= 1) for Student-t with integer df >= 1 (A&S 26.7.3-4)."""
+    theta = math.atan(1.0 / math.sqrt(df))
     c2 = math.cos(theta) ** 2
     if df % 2:
         # odd df: (2/pi) (theta + sin cos (1 + 2/3 cos^2 + 2*4/(3*5) cos^4 ...))

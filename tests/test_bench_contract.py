@@ -1,13 +1,16 @@
 """What the benchmark under ``bench/`` takes from the library, by name.
 
-``bench/tracer.py`` wraps the functions in its ``TARGETS`` table,
-``bench/worker.py`` reads the weight cache's counters and rebuilds
+``bench/tracer.py`` wraps the functions in its ``TARGETS`` table;
+``bench/worker.py`` calls package-level names as ``mb.<name>`` (the screen
+loop, the CLI probe), reads the weight cache's counters and rebuilds
 ``run_calibration`` from public blocks as an oracle.  Removing or renaming
 any of these breaks the traced benchmark, so each is pinned here.  Nothing
 under ``bench/`` is changed: it is only put on ``sys.path`` and imported.
 """
 
 import importlib
+import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +38,21 @@ def test_every_trace_target_is_a_library_function(bench):
     for module, attr, _name, _how in tracer.TARGETS:
         fn = getattr(importlib.import_module(f"markovband.{module}"), attr)
         assert callable(fn), (module, attr)
+
+
+def test_every_name_the_worker_calls_resolves():
+    # every dotted chain after ``mb.`` in worker.py, e.g. ``mb.load_series``,
+    # ``self.mb.cli.main``, ``ctx.mb.simulate.run_calibration``
+    text = (BENCH / "worker.py").read_text()
+    chains = set(re.findall(r"\bmb\.([A-Za-z_][\w.]*[\w])", text))
+    assert {"check_markov", "load_series", "cli.main",
+            "simulate.run_calibration"} <= chains, chains
+    for chain in chains:
+        obj = mb
+        for attr in chain.split("."):
+            assert hasattr(obj, attr), chain
+            obj = getattr(obj, attr)
+        assert callable(obj) or inspect.ismodule(obj), chain
 
 
 def test_weight_cache_counters_are_there():
