@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument(
         "--force",
         action="store_true",
-        help="emit the costs even when the series fails the Markov check "
-        "or is too short or too long for it",
+        help="emit the costs even when the series fails the Markov check",
     )
     p_cost.set_defaults(func=_cmd_cost)
 
@@ -235,14 +234,21 @@ def _band_payload(b: ForecastBand) -> dict:
 def _refused(verdict: MarkovVerdict, force: bool, action: str, output: str) -> bool:
     """Whether a non-Markov series stops the command; say why on stderr.
 
-    With ``force`` the command goes on under a warning.
+    The reason names the quantity the rule compared: W against its
+    threshold, or the p-value of W against p.  With ``force`` the command
+    goes on under a warning.
     """
     if verdict.is_markov:
         return False
     if not force:
+        sw = verdict.sw
+        if sw.p_value is None:
+            compared = f"W={sw.w:.6g}, threshold={sw.threshold:.6g}"
+        else:
+            compared = f"p-value={sw.p_value:.6g}, p={sw.threshold:.6g}"
         print(
             f"refusing to {action}: series is not Markov {_MODEL_NOTE} "
-            f"(W={verdict.sw.w:.6g}, threshold={verdict.sw.threshold:.6g}); "
+            f"({compared}); "
             f"pass --force to emit the {output} anyway",
             file=sys.stderr,
         )
@@ -275,20 +281,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     months = load_events(args.events)
     rates = load_rates(args.rates)
     summary = summarize_costs(months, rates)
-    try:
-        verdict = check_markov(series)
-    except ValueError as exc:  # a series the check cannot judge
-        if not args.force:
-            raise
-        verdict = None
-        print(
-            f"warning: the Markov check cannot judge this series ({exc}); "
-            "costs emitted because --force was given",
-            file=sys.stderr,
-        )
-    else:
-        if _refused(verdict, args.force, "cost the forecast", "costs"):
-            return 1
+    verdict = check_markov(series)
+    if _refused(verdict, args.force, "cost the forecast", "costs"):
+        return 1
     b = band(series, args.horizon, verdict)
     cb = cost_band(b, summary)
     payload = {

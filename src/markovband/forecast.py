@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rng import standard_normal_matrix
-from .series import TimeSeries, difference, zero_variance_error
+from .series import TimeSeries
 
 if TYPE_CHECKING:
     from .markov import MarkovVerdict
@@ -91,28 +91,16 @@ def make_band(x0: float, sigma: float, horizon: int) -> ForecastBand:
     )
 
 
-def band(
-    series: TimeSeries, horizon: int, verdict: MarkovVerdict | None = None
-) -> ForecastBand:
-    """Band anchored at the last observation, sigma estimated from the series.
+def band(series: TimeSeries, horizon: int, verdict: MarkovVerdict) -> ForecastBand:
+    """Band anchored at the last observation of ``series``, scaled by its verdict.
 
-    sigma-hat is the sample standard deviation of the first differences.
-    Given the series' :class:`~markovband.markov.MarkovVerdict`, its
-    ``error_stddev`` is that value (to the bit) and the series is not
-    differenced again.  Without one, raises
-    :class:`~markovband.series.DegenerateSeriesError` when the differences
-    have zero variance (all equal, leaving no noise to calibrate a band
-    against, or with a spread that underflows); the check
-    refuses such a series before it gives a verdict.
+    sigma-hat is ``verdict.error_stddev``, the sample standard deviation of
+    the first differences that :func:`~markovband.markov.check_markov`
+    computed for ``series``; the series is not differenced again.  A series
+    the check refuses (too short or long, overflowing, or with differences
+    of zero variance) has no verdict, so it has no band either.
     """
-    if verdict is not None:
-        sigma = verdict.error_stddev
-    else:
-        errors = difference(series)
-        if errors.variance == 0.0:
-            raise zero_variance_error(errors.errors)
-        sigma = errors.stddev
-    return make_band(float(series.values[-1]), sigma, horizon)
+    return make_band(float(series.values[-1]), verdict.error_stddev, horizon)
 
 
 def walk_in_place(noise: np.ndarray, x0: float, sigma: float) -> None:

@@ -77,11 +77,12 @@ def test_an_underflowing_spread_exits_2_naming_the_underflow(capsys, tmp_path):
     assert "underflow" in err
     assert "differences are equal" not in err
 
-    series.write_text("0\n1e-320\n0\n")  # too short to judge: --force bands it
+    # --force overrides a negative verdict, not a series the check refuses
     code, out, err = run_cli(capsys, "cost", "--input", str(series),
                              "--events", EVENTS, "--rates", RATES, "--force")
     assert code == 2
     assert out == ""
+    assert only_error_line(err), err
     assert "underflow" in err
 
 
@@ -116,7 +117,8 @@ def test_unknown_command_is_a_usage_error():
 def test_forecast_emits_the_band(capsys):
     code, out, _ = run_cli(capsys, "forecast", "--input", WALK, "--horizon", "5")
     payload = json.loads(out)
-    b = mb.band(mb.load_series(WALK), 5)
+    series = mb.load_series(WALK)
+    b = mb.band(series, 5, mb.check_markov(series))
     assert code == 0
     assert payload["x0"] == b.x0
     assert payload["sigma"] == b.sigma
@@ -131,7 +133,8 @@ def test_forecast_plot_csv_round_trips(capsys):
         capsys, "forecast", "--input", WALK, "--horizon", "4", "--format", "plot-csv"
     )
     lines = out.strip().splitlines()
-    b = mb.band(mb.load_series(WALK), 4)
+    series = mb.load_series(WALK)
+    b = mb.band(series, 4, mb.check_markov(series))
     assert code == 0
     assert lines[0] == "k,lower,x0,upper"
     assert len(lines) == 5
@@ -149,6 +152,21 @@ def test_forecast_refuses_non_markov_without_force(capsys):
     assert out == ""
     assert "refusing to forecast" in err
     assert "--force" in err
+
+
+@pytest.mark.parametrize("rule", mb.RULES)
+def test_forecast_refusal_names_the_quantity_its_rule_compared(capsys, rule):
+    code, out, err = run_cli(capsys, "forecast", "--input", SKEWED, "--rule", rule)
+    sw = mb.check_markov(mb.load_series(SKEWED), rule=rule).sw
+    assert code == 1
+    assert out == ""
+    if rule == "p-value":
+        # the p-value of W is what is held against p, not W itself
+        assert f"(p-value={sw.p_value:.6g}, p={sw.threshold:.6g})" in err
+        assert "W=" not in err
+    else:
+        assert f"(W={sw.w:.6g}, threshold={sw.threshold:.6g})" in err
+        assert "p-value" not in err
 
 
 def test_forecast_force_overrides_refusal(capsys):
@@ -277,23 +295,18 @@ def write_series(tmp_path, n):
     "n, reason",
     [(3, "requires at least 4 observations"), (5002, "3 to 5000 differences")],
 )
-def test_cost_series_the_check_cannot_judge_needs_force(capsys, tmp_path, n, reason):
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_cost_series_the_check_cannot_judge_exits_2_even_with_force(
+    capsys, tmp_path, n, reason, force
+):
     series = write_series(tmp_path, n)
     inputs = ["--input", series, "--events", EVENTS, "--rates", RATES]
-    code, out, err = run_cli(capsys, "cost", *inputs, "--sample", "50")
+    code, out, err = run_cli(capsys, "cost", *inputs, "--sample", "50", *force)
     assert code == 2
     assert out == ""
+    assert only_error_line(err), err
     assert reason in err
-
-    code, out, err = run_cli(capsys, "cost", *inputs, "--sample", "50", "--force")
-    payload = json.loads(out)
-    summary = mb.summarize_costs(mb.load_events(EVENTS), mb.load_rates(RATES))
-    cb = mb.cost_band(mb.band(mb.load_series(series), 12), summary)
-    assert code == 0
-    assert [row["upper"] for row in payload["cost_bands"]] == cb.upper.tolist()
-    assert payload["samples_summary"]["count"] == 50
-    assert "warning: the Markov check cannot judge this series" in err
-    assert reason in err
+    assert "warning:" not in err
 
 
 def test_cost_malformed_input_exits_2_before_the_markov_check(capsys, tmp_path):
@@ -350,6 +363,7 @@ def test_cost_zero_interruption_month_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["check"], ["forecast"], ["forecast", "--force"], ["forecast", "--rule", "p-value"],
+    ["cost", "--events", EVENTS, "--rates", RATES, "--force"],
 ])
 def test_a_series_past_the_check_range_exits_2_naming_its_length(
     capsys, tmp_path, command
@@ -565,28 +579,6 @@ def test_in_process_calls_match_fresh_processes(capsys):
     fresh = [(p.returncode, p.stdout) for p in (run_module(*argv) for argv in calls)]
     assert in_process == fresh
     assert [code for code, _ in fresh] == [0, 1, 0, 1, 1, 2, 0]
-
-
-@pytest.mark.parametrize("rule", mb.RULES)
-@pytest.mark.parametrize("path", sorted(DATA.glob("*.csv")), ids=lambda p: p.name)
-def test_bands_from_the_verdict_are_byte_identical(capsys, monkeypatch, rule, path):
-    # forecast and cost take sigma-hat from the verdict; differencing the
-    # series again, as band() does without one, must print the same bytes
-    commands = [
-        ["forecast", "--input", str(path), "--rule", rule, "--force",
-         "--format", "plot-csv"],
-        ["forecast", "--input", str(path), "--rule", rule, "--force"],
-        ["cost", "--input", str(path), "--events", EVENTS, "--rates", RATES,
-         "--force", "--sample", "40"],
-    ]
-    if rule != mb.RULES[0]:
-        commands.pop()  # cost has no --rule
-    from_verdict = [run_cli(capsys, *argv)[:2] for argv in commands]
-    monkeypatch.setattr(
-        cli, "band", lambda series, horizon, verdict=None: mb.band(series, horizon)
-    )
-    recomputed = [run_cli(capsys, *argv)[:2] for argv in commands]
-    assert from_verdict == recomputed
 
 
 @pytest.mark.parametrize(

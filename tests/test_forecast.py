@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from markovband.cost import CostSummary, sample_cost_moments
 from markovband.forecast import band, make_band, sample_paths
 from markovband.rng import BLOCK_PATHS
-from markovband.series import DegenerateSeriesError, TimeSeries, difference
+from markovband.markov import check_markov
+from markovband.series import difference
 from markovband.simulate import generate_walk
 
 finite_x0 = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
@@ -72,28 +73,21 @@ def test_band_arrays_are_frozen():
         b.upper[0] = 99.0
 
 
-def test_band_from_series_uses_last_value_and_estimated_sigma():
+def test_band_from_series_uses_last_value_and_the_verdicts_sigma():
     walk = generate_walk(10.0, 2.0, 80, seed=123)
-    b = band(walk, 7)
+    b = band(walk, 7, check_markov(walk))
     assert b.x0 == float(walk.values[-1])
+    # the verdict's sigma-hat is the differences' sample stddev, to the bit
     assert b.sigma == difference(walk).stddev
     assert b.horizon == 7
 
 
-def test_band_from_degenerate_series_raises():
-    with pytest.raises(DegenerateSeriesError):
-        band(TimeSeries(values=np.arange(5.0)), 4)
-    # a two-point series has a single difference: no spread information
-    with pytest.raises(DegenerateSeriesError):
-        band(TimeSeries(values=[1.0, 5.0]), 4)
-
-
-def test_band_from_an_underflowing_spread_names_the_underflow():
-    series = TimeSeries(values=[0.0, 1e-320, 0.0])
-    with pytest.raises(DegenerateSeriesError, match="underflow"):
-        band(series, 4)
-    with pytest.raises(DegenerateSeriesError, match="differences are equal"):
-        band(TimeSeries(values=[1.0, 1.0, 1.0]), 4)
+def test_band_needs_a_verdict():
+    # sigma-hat has one source, the check's verdict: a band is never made
+    # by differencing the series again
+    walk = generate_walk(10.0, 2.0, 80, seed=123)
+    with pytest.raises(TypeError):
+        band(walk, 7)
 
 
 # ------------------------------------------------------------------ paths

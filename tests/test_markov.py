@@ -56,6 +56,9 @@ def test_zero_mean_walk_has_no_drift_warning():
 def test_ramp_raises_degenerate():
     with pytest.raises(DegenerateSeriesError, match="differences are equal"):
         check_markov(TimeSeries(values=np.arange(1.0, 6.0)))
+    # a constant series: every difference is zero
+    with pytest.raises(DegenerateSeriesError, match="differences are equal"):
+        check_markov(TimeSeries(values=[1.0] * 5))
 
 
 UNDERFLOWING = [0.0, 1e-320, 0.0, 2e-320, -1e-320, 0.0]
@@ -79,6 +82,12 @@ def test_an_underflowing_spread_is_refused_by_name():
 def test_minimum_length_enforced():
     with pytest.raises(ValueError, match=str(MIN_CHECK_LENGTH)):
         check_markov(TimeSeries(values=[1.0, 2.0, 4.0]))
+    # too short is refused by length before any spread is looked at: a
+    # single difference, or three points whose spread underflows
+    for values in ([1.0, 5.0], [0.0, 1e-320, 0.0]):
+        with pytest.raises(ValueError, match="requires at least") as exc:
+            check_markov(TimeSeries(values=values))
+        assert not isinstance(exc.value, DegenerateSeriesError)
     # exactly MIN_CHECK_LENGTH observations (3 differences) is accepted
     verdict = check_markov(TimeSeries(values=[0.0, 1.0, -0.5, 0.7]))
     assert verdict.n_errors == 3
