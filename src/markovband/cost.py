@@ -214,25 +214,29 @@ def sample_cost_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step mean and sample stddev of :func:`sample_costs`, without its matrix.
 
-    Returns ``(mean, std)``, bitwise ``costs.mean(axis=0)`` and
-    ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.  Two
-    passes of :func:`_column_sums` regenerate the matrix piece by piece, one
-    to sum the costs and one to sum their squared deviations from the mean.
-    Memory is one fixed pool of pieces, whatever ``count``, ``horizon`` and
-    the CPU count are.  A count that fits in one block is summarised from
-    its matrix, drawn once, when that matrix takes at most
-    :data:`AHEAD_BYTES`, and so is a horizon of 1, whose matrix is one float
-    per path.  ``count`` must be at least 2,
-    the fewest paths a sample stddev needs.  Costs, or moments of them,
-    beyond the float64 range are refused with a ValueError.
+    Returns ``(mean, std)``.  Block b of ``costs = sample_costs(...)`` is
+    its rows ``b * BLOCK_PATHS`` on (stream b's paths).  The column sums of
+    the blocks, each ``costs_b.sum(axis=0)`` bitwise, are added in block
+    order from ``-0.0``; ``mean`` is that total over ``count``.  ``std`` is
+    the same blocked sum of ``(costs_b - mean) ** 2``, over ``count - 1``,
+    square-rooted.  A count that fits in one block therefore gives numpy's
+    ``costs.mean(axis=0)`` and ``costs.std(axis=0, ddof=1)`` bit for bit; a
+    larger count may differ from them in the last digits.
+
+    Two passes of :func:`_column_sums` regenerate the matrix piece by
+    piece, one to sum the costs and one to sum their squared deviations
+    from the mean, in one piece per worker thread whatever ``count``,
+    ``horizon`` and the CPU count are.  A count that fits in one block is
+    summarised from its matrix, drawn once, when that matrix takes at most
+    :data:`AHEAD_BYTES`.  ``count`` must be at least 2, the fewest paths a
+    sample stddev needs.  Costs, or moments of them, beyond the float64
+    range are refused with a ValueError.
     """
     check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 2))
     rate = summary.per_interruption
     # Costs that overflow become inf or nan, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        if horizon == 1 or (
-            count <= BLOCK_PATHS and 8 * count * horizon <= AHEAD_BYTES
-        ):
+        if count <= BLOCK_PATHS and 8 * count * horizon <= AHEAD_BYTES:
             costs = sample_costs(x0, sigma, horizon, summary, count, seed)
             mean, std = costs.mean(axis=0), costs.std(axis=0, ddof=1)
         else:
@@ -245,13 +249,8 @@ def sample_cost_moments(
 
 #: Bytes of one piece of a sample block: the rows drawn, walked and reduced at once.
 PIECE_BYTES = 1 << 18
-#: Bytes of pieces each worker may fill ahead of the block being reduced.
+#: Bytes of the largest one-block cost matrix that is summarised whole.
 AHEAD_BYTES = 8 << 20
-#: Bytes of pieces all workers together may fill ahead of that block: a
-#: per-call total, so the pool does not grow with the CPU count.
-POOL_BYTES = 3 * AHEAD_BYTES
-#: Free pieces that only the worker of the block being reduced may take.
-RESERVE_PIECES = 2
 
 
 def _worker_count() -> int:
@@ -272,107 +271,68 @@ def _column_sums(
     seed: int,
     mean: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Column sums of the ``count`` x ``horizon`` cost matrix, piece by piece.
+    """Blocked column sums of the ``count`` x ``horizon`` cost matrix.
 
     Block b is rows ``b * BLOCK_PATHS`` on, at most ``BLOCK_PATHS`` of
     them: stream b's noise, walked from ``x0`` and scaled by ``rate`` with
     the ops of :func:`sample_costs`.  Given ``mean``, each cost is replaced
-    by its squared deviation ``(cost - mean) ** 2`` before the sum.  A block
-    is drawn, walked, scaled and squared in pieces of rows of about
+    by its squared deviation ``(cost - mean) ** 2`` before the sum.  The
+    result is the blocks' sums added in block order from ``-0.0`` (which
+    ``-0.0 + x`` leaves as ``x``, bit for bit), where each block's sum is
+    bitwise ``np.add.reduce(block, axis=0)``.
+
+    A block is drawn, walked, scaled and squared in pieces of rows of about
     :data:`PIECE_BYTES`, from one rewind of its stream; the rows of a path
-    never span two pieces, so the pieces are the block's bits.
+    never span two pieces, so the pieces are the block's bits.  numpy adds
+    the rows of a matrix of two or more columns one after another, so each
+    later piece is reduced under a carry row that holds the block's sums so
+    far, which makes the piece size change no bit.  A single column is
+    summed pairwise, which that order is not, so at ``horizon == 1`` the
+    whole block is one piece.
 
-    Blocks are taken in order by worker threads, at most one per CPU (the
-    calling thread is one of them), each with its own
-    :func:`~markovband.rng.stream_filler` and under the numpy error state of
-    the calling thread; numpy releases the GIL while it draws and computes.
-    Pieces are added to the sums in row order, so the result is bitwise
-    ``np.add.reduce(matrix, axis=0)`` for ``horizon >= 2``: numpy adds the
-    rows of such a matrix one after another, so the running sums go in a
-    carry row above each piece and the piece is reduced with them.  (A
-    single column is summed pairwise, which this order is not.)  The worker
-    that fills the next piece in row order adds it, and any pieces filled
-    ahead of it that follow, so the worker of the head block (the one being
-    summed) hands nothing to another thread.
-
-    Pieces live in one pool of ``(workers - 1) * ahead + RESERVE_PIECES``
-    buffers of ``1 + rows`` rows, allocated by the calling thread once per
-    call, where ``ahead`` is a block's pieces capped at :data:`AHEAD_BYTES`.
-    The workers are as many as :data:`POOL_BYTES` of ``ahead`` buffers
-    allows beside the head's (at least two), so the pool has one bound
-    whatever the CPU count.  Only the worker of the head block may take the
-    last ``RESERVE_PIECES`` free buffers, so the head always moves on and
-    memory is bounded whatever the horizon.  A block larger than the cap
-    makes the other workers wait for the head, trading parallelism for
-    memory.  A worker's error stops the others and is raised once they are
-    joined.
+    Blocks are taken in turn from a shared counter by worker threads, at
+    most one per CPU and one per block (the calling thread is one of them),
+    each with its own :func:`~markovband.rng.stream_filler` and piece
+    buffer, under the numpy error state of the calling thread; numpy
+    releases the GIL while it draws and computes.  A worker sums its whole
+    block and writes it to the block's slot, so no worker waits for
+    another, and the calling thread adds the slots after the join.  The
+    buffers are allocated by the calling thread, once per call.  A
+    worker's error stops the others from taking blocks and is raised once
+    they are joined.
     """
     import threading
 
-    rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))  # per piece
-    buffer_bytes = 8 * horizon * (1 + rows)
+    if horizon == 1:
+        rows = BLOCK_PATHS
+    else:
+        rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))
     blocks = -(-count // BLOCK_PATHS)
-    per_block = -(-BLOCK_PATHS // rows)
-    ahead = max(1, min(per_block, AHEAD_BYTES // buffer_bytes))
-    # Each worker past the head's holds up to ``ahead`` buffers: there are
-    # as many as POOL_BYTES allows, but at least one, so two CPUs keep two.
-    fillers = max(1, POOL_BYTES // buffer_bytes // ahead)
-    workers = min(_worker_count(), blocks, 1 + fillers)
-    pool = np.empty(((workers - 1) * ahead + RESERVE_PIECES, 1 + rows, horizon))
-    free = list(range(len(pool)))
-    ready: dict[int, tuple[int, int]] = {}  # first row -> (buffer, rows)
-    cond = threading.Condition()
+    workers = min(_worker_count(), blocks)
+    buffers = np.empty((workers, 1 + rows, horizon))  # row 0 is the carry row
+    fillers = [stream_filler(seed) for _ in range(workers)]
+    block_sums = np.empty((blocks, horizon))
+    lock = threading.Lock()
     taken = 0  # blocks handed to workers
-    done = 0  # rows summed: the next piece to add starts here
     failure: BaseException | None = None
-    sums = np.full(horizon, -0.0)  # -0.0 + x is x, bit for bit
     errors = np.geterr()  # a new thread starts with numpy's default error state
 
-    def reduce_ready() -> None:
-        """Add the filled pieces that come next in row order to the sums.
-
-        Only the thread that takes the piece at ``done`` adds to the sums,
-        and ``done`` moves past it only once it is added, so one thread at a
-        time adds, in row order.
-        """
-        nonlocal done, sums
-        while True:
-            with cond:
-                if done not in ready:
-                    return
-                slot, n = ready.pop(done)
-            buf = pool[slot, : 1 + n]
-            buf[0] = sums
-            sums = np.add.reduce(buf, axis=0)
-            with cond:
-                done += n
-                free.append(slot)
-                cond.notify_all()
-
-    def work() -> None:
+    def work(buf: np.ndarray, fill) -> None:
         nonlocal taken, failure
-        fill = stream_filler(seed)
         try:
             with np.errstate(**errors):
                 while True:
-                    with cond:
+                    with lock:
                         block = taken
                         if failure is not None or block == blocks:
                             return
                         taken += 1
                     start = block * BLOCK_PATHS
                     end = min(start + BLOCK_PATHS, count)
+                    sums = block_sums[block]
                     for first in range(start, end, rows):
-                        with cond:
-                            while failure is None and len(free) <= (
-                                0 if done >= start else RESERVE_PIECES
-                            ):
-                                cond.wait()
-                            if failure is not None:
-                                return
-                            slot = free.pop()
                         n = min(rows, end - first)
-                        piece = pool[slot, 1 : 1 + n]
+                        piece = buf[1 : 1 + n]
                         if first == start:
                             fill(block, piece)
                         else:
@@ -382,28 +342,32 @@ def _column_sums(
                         if mean is not None:
                             piece -= mean
                             np.square(piece, out=piece)
-                        with cond:
-                            ready[first] = slot, n
-                        reduce_ready()
+                        if first == start:
+                            np.add.reduce(piece, axis=0, out=sums)
+                        else:
+                            buf[0] = sums
+                            np.add.reduce(buf[: 1 + n], axis=0, out=sums)
         except BaseException as exc:  # raised again on the calling thread
-            with cond:
+            with lock:
                 if failure is None:
                     failure = exc
-                cond.notify_all()
 
     threads: list[threading.Thread] = []
     try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
+        for buf, fill in zip(buffers[1:], fillers[1:]):
+            thread = threading.Thread(target=work, args=(buf, fill))
             thread.start()
             threads.append(thread)
-        work()
+        work(buffers[0], fillers[0])
     finally:
         for thread in threads:
             thread.join()
     if failure is not None:
         raise failure
-    return sums
+    total = np.full(horizon, -0.0)
+    for sums in block_sums:
+        total += sums
+    return total
 
 
 def load_events(source: Source) -> list[MonthlyEvents]:

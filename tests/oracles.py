@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from markovband.markov import check_markov
-from markovband.rng import substream
+from markovband.rng import BLOCK_PATHS, substream
 from markovband.series import SeriesFormatError, TimeSeries
 from markovband.simulate import SimulationReport
 
@@ -140,6 +140,26 @@ def oracle_asc(months, rates) -> float:
             ]
         )
     )
+
+
+def reference_sample_moments(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_cost_moments``' mean and stddev of a ``sample_costs`` matrix.
+
+    A plain loop over the matrix's blocks of ``BLOCK_PATHS`` rows: each
+    block's numpy column sum is added in block order to a total that starts
+    at -0.0, and the total over the path count is the mean.  The stddev
+    sums the blocks' squared deviations from that mean the same way.
+    """
+    count = len(costs)
+    blocks = [costs[i : i + BLOCK_PATHS] for i in range(0, count, BLOCK_PATHS)]
+    total = np.full(costs.shape[1], -0.0)
+    for block in blocks:
+        total = total + block.sum(axis=0)
+    mean = total / count
+    squares = np.full(costs.shape[1], -0.0)
+    for block in blocks:
+        squares = squares + ((block - mean) ** 2).sum(axis=0)
+    return mean, np.sqrt(squares / (count - 1))
 
 
 def reference_calibration(

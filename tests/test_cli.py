@@ -1,4 +1,5 @@
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -474,7 +475,29 @@ def test_simulate_matches_library_run(capsys):
     assert err.endswith("; P(|T_18| <= 1) = 0.6694 per step is the calibrated value\n")
 
 
-GOLDEN_SIMULATE = json.loads((DATA / "simulate_golden.json").read_text())
+def golden(name):
+    """The cases of a golden file, and a note naming where they were recorded.
+
+    Seeded streams come from numpy and W's last bits from the platform's
+    libm, so the note names the numpy version and platform of the recording
+    beside this run's: a mismatch on another host can then be told apart
+    from a regression.
+    """
+    recorded = json.loads((DATA / name).read_text())
+    libc, libc_version = platform.libc_ver()
+    here = (
+        f"{platform.system()} {platform.machine()}, {libc} {libc_version}, "
+        f"Python {platform.python_version()}"
+    )
+    was = recorded["recorded_with"]
+    note = (
+        f"{name} was recorded with numpy {was['numpy']} on {was['platform']}; "
+        f"this run has numpy {np.__version__} on {here}"
+    )
+    return recorded["cases"], note
+
+
+GOLDEN_SIMULATE, SIMULATE_RECORDED = golden("simulate_golden.json")
 
 
 @pytest.mark.parametrize(
@@ -485,10 +508,10 @@ def test_simulate_stdout_is_the_golden_bytes(capsys, case):
     # through numpy's array state; L = 10, 11 and 12 reach every Royston branch
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
-    assert out == case["stdout"]
+    assert out == case["stdout"], SIMULATE_RECORDED
 
 
-GOLDEN_CLI = json.loads((DATA / "cli_golden.json").read_text())
+GOLDEN_CLI, CLI_RECORDED = golden("cli_golden.json")
 
 
 def golden_id(case):
@@ -502,7 +525,8 @@ def test_cli_output_is_the_golden_bytes(capsys, monkeypatch, case):
     # check, forecast and cost on every tests/data/*.csv under both rules;
     # stdout, stderr and exit code as recorded, with paths from the repo root
     monkeypatch.chdir(DATA.parents[1])
-    assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+    expected = (case["code"], case["stdout"], case["stderr"])
+    assert run_cli(capsys, *case["argv"]) == expected, CLI_RECORDED
 
 
 def test_simulate_bad_trials_exits_2(capsys):

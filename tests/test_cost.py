@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import io
 import sys
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_adc, oracle_asc
+from oracles import oracle_adc, oracle_asc, reference_sample_moments
 
 from markovband import cost
 from markovband.cost import (
@@ -176,8 +175,8 @@ def test_sample_costs_are_scaled_paths_bitwise():
 def moments(*args, timeout=60):
     """``sample_cost_moments(*args)`` on a thread of its own, or a failure.
 
-    The call's workers wait on each other, so a deadlock among them would
-    hang the suite: past ``timeout`` seconds the test fails instead.
+    A worker that never returns would hang the suite: past ``timeout``
+    seconds the test fails instead.
     Threads started by a daemon thread are daemons too, so a hung call
     does not keep the process alive.
     """
@@ -200,10 +199,14 @@ def moments(*args, timeout=60):
 
 
 def assert_matrix_moments(x0, sigma, horizon, summary, count, seed):
+    """The moments are numpy's for one block and the blocked reference's past it."""
     mean, std = moments(x0, sigma, horizon, summary, count, seed)
     costs = sample_costs(x0, sigma, horizon, summary, count, seed)
-    expected_mean = costs.mean(axis=0)
-    expected_std = costs.std(axis=0, ddof=1)
+    if count <= BLOCK_PATHS:
+        expected_mean = costs.mean(axis=0)
+        expected_std = costs.std(axis=0, ddof=1)
+    else:
+        expected_mean, expected_std = reference_sample_moments(costs)
     assert mean.tobytes() == expected_mean.tobytes()  # bitwise, signed zeros too
     assert std.tobytes() == expected_std.tobytes()
 
@@ -225,7 +228,7 @@ def test_sample_cost_moments_keep_signed_zeros(horizon):
     assert_matrix_moments(-5.0, 0.0, horizon, summary, 40, seed=2)
 
 
-@pytest.mark.parametrize("workers", [1, 3, 8, 16])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8, 16])
 def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers):
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     count = 5 * BLOCK_PATHS + 3
@@ -243,12 +246,6 @@ def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers)
     assert threading.active_count() == threads
 
 
-def tiny_pieces(monkeypatch, horizon, rows, ahead):
-    """Cut sample blocks into pieces of ``rows`` rows, ``ahead`` per worker."""
-    monkeypatch.setattr(cost, "PIECE_BYTES", 8 * horizon * rows)
-    monkeypatch.setattr(cost, "AHEAD_BYTES", 8 * horizon * (1 + rows) * ahead)
-
-
 @pytest.mark.parametrize("horizon", [2, 3, 12])
 @pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("count", [BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 7])
@@ -256,9 +253,8 @@ def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
     monkeypatch, horizon, workers, count
 ):
     # 999-row pieces do not divide a block, the last piece of a block is
-    # short, the last block is shorter still, and two pieces ahead make
-    # workers wait for the head block.
-    tiny_pieces(monkeypatch, horizon, rows=999, ahead=2)
+    # short, and the last block is shorter still.
+    monkeypatch.setattr(cost, "PIECE_BYTES", 8 * horizon * 999)
     monkeypatch.setattr(cost, "_worker_count", lambda: workers)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     assert_matrix_moments(-1.0, 2.0, horizon, summary, count, seed=9)
@@ -302,31 +298,36 @@ def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_a_worker_error_ends_the_call_while_other_workers_wait(monkeypatch):
-    # Block 0 fails on its 50th piece, once the workers of blocks 1 and 2
-    # wait for the pool: of its 2 * 2 + RESERVE_PIECES buffers, block 0
-    # holds one and the others may take all but RESERVE_PIECES, 3 in all.
-    walked = collections.Counter()  # pieces per block, one writer per key
+def test_a_worker_error_stops_the_other_workers_taking_blocks(monkeypatch):
+    # Three workers take blocks 0, 1 and 2 of six.  Blocks 1 and 2 are held
+    # until block 0 has failed; their workers then take no further block.
+    walked = set()
+    failed = threading.Event()
 
     def fail_in_block_zero(paths, x0, sigma):
         block = int(paths[0, 0])
-        walked[block] += 1
-        if block == 0 and walked[0] == 50:
+        walked.add(block)
+        if block == 0:
             deadline = time.monotonic() + 10
-            while walked[1] + walked[2] < 3 and time.monotonic() < deadline:
+            while not {1, 2} <= walked and time.monotonic() < deadline:
                 time.sleep(0.001)
-            time.sleep(0.05)  # for them to reach the wait
+            failed.set()
             raise RuntimeError("block 0 failed")
+        if not failed.is_set():
+            failed.wait(10)
+            time.sleep(0.2)  # for block 0's worker to record its error
 
-    tiny_pieces(monkeypatch, 4, rows=5, ahead=2)
+    escaped = []  # errors that left a worker thread instead of the call
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
     monkeypatch.setattr(cost, "stream_filler", BlockNumbers)
     monkeypatch.setattr(cost, "walk_in_place", fail_in_block_zero)
     monkeypatch.setattr(cost, "_worker_count", lambda: 3)
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
     with pytest.raises(RuntimeError, match="^block 0 failed$"):
-        moments(0.0, 1.0, 4, summary, 3 * BLOCK_PATHS, 0, timeout=30)
-    assert walked[1] + walked[2] == 3  # they waited, and stopped at the error
+        moments(0.0, 1.0, 4, summary, 6 * BLOCK_PATHS, 0, timeout=30)
+    assert walked == {0, 1, 2}
+    assert escaped == []
     assert threading.active_count() == threads
 
 
@@ -343,38 +344,52 @@ def traced_peak(monkeypatch, workers, horizon, count):
     return peak
 
 
+def assert_one_piece_per_worker(monkeypatch, workers, horizon, count):
+    """The traced peak is one piece buffer per worker the call runs, and slack.
+
+    A buffer is a carry row and ``rows`` rows of ``horizon`` floats, a whole
+    block at horizon 1 and else about PIECE_BYTES.  The slack, 64 KiB a
+    worker and 64 KiB more, is for each worker's filler and the call's small
+    arrays (here at most 31 KiB a worker and 80 KiB besides).
+    """
+    used = min(workers, -(-count // BLOCK_PATHS))
+    rows = BLOCK_PATHS if horizon == 1 else cost.PIECE_BYTES // (8 * horizon)
+    peak = traced_peak(monkeypatch, workers, horizon, count)
+    assert peak <= used * (1 + rows) * horizon * 8 + (1 + used) * 64 * 1024
+
+
 def test_sample_cost_moments_memory_does_not_grow_with_count(monkeypatch):
-    # Two workers hold about one block of 2**16 x 12 floats (6.3 MB) ahead
-    # plus the reserve pieces; the cost matrix itself would be 96 MB.
-    assert traced_peak(monkeypatch, 2, 12, 1_000_000) < 12 * 2**20
+    # The cost matrix would be 96 MB; a pool of pieces filled ahead of the
+    # block being summed took 6.9 MiB here.
+    assert_one_piece_per_worker(monkeypatch, 2, 12, 1_000_000)
 
 
-def test_sample_cost_moments_memory_is_bounded_by_the_ahead_budget(monkeypatch):
-    # Eight CPUs on nine blocks: the workers that fill ahead of the head
-    # block share one pool of POOL_BYTES, not AHEAD_BYTES each.
-    peak = traced_peak(monkeypatch, 8, 12, 9 * BLOCK_PATHS)
-    assert peak <= cost.POOL_BYTES + cost.RESERVE_PIECES * cost.PIECE_BYTES
+def test_sample_cost_moments_memory_does_not_grow_with_count_at_horizon_1(
+    monkeypatch,
+):
+    # Summarising the 32 MB column whole took 61.0 MiB here.
+    assert_one_piece_per_worker(monkeypatch, 2, 1, 4_000_000)
+
+
+def test_sample_cost_moments_memory_is_one_piece_per_worker(monkeypatch):
+    # Eight CPUs on nine blocks.
+    assert_one_piece_per_worker(monkeypatch, 8, 12, 9 * BLOCK_PATHS)
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_the_worker_count(monkeypatch):
-    # A pool of AHEAD_BYTES per worker took 99 MB here at 16 workers, about
-    # the 96 MB cost matrix itself.
-    peak = traced_peak(monkeypatch, 16, 12, 1_000_000)
-    assert peak <= cost.POOL_BYTES + cost.RESERVE_PIECES * cost.PIECE_BYTES
+    # A pool of 8 MiB a worker took 99 MB here at 16 workers, about the
+    # 96 MB cost matrix itself, and a shared pool 19.5 MiB.
+    assert_one_piece_per_worker(monkeypatch, 16, 12, 1_000_000)
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_the_horizon(monkeypatch):
-    # One block of 2**16 x 500 floats is 262 MB; two blocks take two workers,
-    # one of them filling ahead.
-    peak = traced_peak(monkeypatch, 8, 500, BLOCK_PATHS + 1)
-    pieces = cost.RESERVE_PIECES + 1  # the reserve, and slack for the rest
-    assert peak <= cost.AHEAD_BYTES + pieces * cost.PIECE_BYTES
+    # One block of 2**16 x 500 floats is 262 MB; two blocks take two workers.
+    assert_one_piece_per_worker(monkeypatch, 8, 500, BLOCK_PATHS + 1)
 
 
 def test_a_single_block_past_the_ahead_budget_is_streamed(monkeypatch):
-    # 2**16 x 100 floats is 52 MB; one worker streams it through the reserve.
-    peak = traced_peak(monkeypatch, 8, 100, BLOCK_PATHS)
-    assert peak <= (cost.RESERVE_PIECES + 1) * cost.PIECE_BYTES
+    # 2**16 x 100 floats is 52 MB; one worker streams it.
+    assert_one_piece_per_worker(monkeypatch, 8, 100, BLOCK_PATHS)
 
 
 def test_sample_cost_moments_need_two_paths():
