@@ -214,23 +214,27 @@ def sample_cost_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step mean and sample stddev of :func:`sample_costs`, without its matrix.
 
-    Returns ``(mean, std)``.  Block b of ``costs = sample_costs(...)`` is
-    its rows ``b * BLOCK_PATHS`` on (stream b's paths).  The column sums of
-    the blocks, each ``costs_b.sum(axis=0)`` bitwise, are added in block
-    order from ``-0.0``; ``mean`` is that total over ``count``.  ``std`` is
-    the same blocked sum of ``(costs_b - mean) ** 2``, over ``count - 1``,
-    square-rooted.  A count that fits in one block therefore gives numpy's
-    ``costs.mean(axis=0)`` and ``costs.std(axis=0, ddof=1)`` bit for bit; a
-    larger count may differ from them in the last digits.
+    Returns ``(mean, std)``.  A count that fits in one block is summarised
+    from its matrix, drawn once, when that matrix takes at most
+    :data:`AHEAD_BYTES`: the moments are numpy's ``costs.mean(axis=0)`` and
+    ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.
 
-    Two passes of :func:`_column_sums` regenerate the matrix piece by
-    piece, one to sum the costs and one to sum their squared deviations
-    from the mean, in one piece per worker thread whatever ``count``,
-    ``horizon`` and the CPU count are.  A count that fits in one block is
-    summarised from its matrix, drawn once, when that matrix takes at most
-    :data:`AHEAD_BYTES`.  ``count`` must be at least 2, the fewest paths a
-    sample stddev needs.  Costs, or moments of them, beyond the float64
-    range are refused with a ValueError.
+    Any other count is streamed, in one pass of :func:`_column_sums` that
+    regenerates the matrix piece by piece, in one piece per worker thread
+    whatever ``count``, ``horizon`` and the CPU count are.  Block b of the
+    matrix is its rows ``b * BLOCK_PATHS`` on (stream b's paths).  Three
+    column sums are taken block by block and added in block order from
+    ``-0.0``: ``total`` of the costs, ``S1`` of their offsets ``costs - K``
+    from the shift ``K = x0 * rate`` (the expected cost of every step) and
+    ``S2`` of the offsets' squares.  ``mean`` is ``total / count``, which is
+    numpy's mean bit for bit for a count within one block.  ``std`` is the
+    shifted-data sample stddev of Chan, Golub & LeVeque (1983),
+    ``sqrt(max(S2 - S1 * (S1 / count), 0) / (count - 1))``, which may
+    differ from numpy's two-pass one in the last digits.
+
+    ``count`` must be at least 2, the fewest paths a sample stddev needs.
+    Costs, or moments of them, beyond the float64 range are refused with a
+    ValueError.
     """
     check_walk(x0, sigma, ("horizon", horizon, 1), ("count", count, 2))
     rate = summary.per_interruption
@@ -240,9 +244,12 @@ def sample_cost_moments(
             costs = sample_costs(x0, sigma, horizon, summary, count, seed)
             mean, std = costs.mean(axis=0), costs.std(axis=0, ddof=1)
         else:
-            mean = _column_sums(x0, sigma, horizon, rate, count, seed) / count
-            squares = _column_sums(x0, sigma, horizon, rate, count, seed, mean)
-            std = np.sqrt(squares / (count - 1))
+            total, s1, s2 = _column_sums(x0, sigma, horizon, rate, count, seed)
+            mean = total / count
+            # S1 * (S1 / count) stays within S2's range.  The clamp makes a
+            # variance rounded below zero 0, not a nan; an overflow's nan
+            # still reaches the check.
+            std = np.sqrt(np.maximum(s2 - s1 * (s1 / count), 0.0) / (count - 1))
     _check_dollars("the sampled costs", rate, mean, std)
     return mean, std
 
@@ -269,37 +276,38 @@ def _column_sums(
     rate: float,
     count: int,
     seed: int,
-    mean: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Blocked column sums of the ``count`` x ``horizon`` cost matrix.
+    """Blocked column sums of the ``count`` x ``horizon`` cost matrix, in one pass.
 
     Block b is rows ``b * BLOCK_PATHS`` on, at most ``BLOCK_PATHS`` of
     them: stream b's noise, walked from ``x0`` and scaled by ``rate`` with
-    the ops of :func:`sample_costs`.  Given ``mean``, each cost is replaced
-    by its squared deviation ``(cost - mean) ** 2`` before the sum.  The
-    result is the blocks' sums added in block order from ``-0.0`` (which
-    ``-0.0 + x`` leaves as ``x``, bit for bit), where each block's sum is
-    bitwise ``np.add.reduce(block, axis=0)``.
+    the ops of :func:`sample_costs`.  Returns a ``(3, horizon)`` array: the
+    sums of the costs, of their offsets ``cost - x0 * rate`` and of the
+    offsets' squares.  Each is the blocks' sums added in block order from
+    ``-0.0`` (which ``-0.0 + x`` leaves as ``x``, bit for bit), where each
+    block's sum is bitwise ``np.add.reduce`` of its rows (``axis=0``).
 
-    A block is drawn, walked, scaled and squared in pieces of rows of about
+    A block is drawn, walked and scaled in pieces of rows of about
     :data:`PIECE_BYTES`, from one rewind of its stream; the rows of a path
-    never span two pieces, so the pieces are the block's bits.  numpy adds
-    the rows of a matrix of two or more columns one after another, so each
-    later piece is reduced under a carry row that holds the block's sums so
-    far, which makes the piece size change no bit.  A single column is
-    summed pairwise, which that order is not, so at ``horizon == 1`` the
-    whole block is one piece.
+    never span two pieces, so the pieces are the block's bits.  Each piece
+    is reduced three times in place: as costs, after the shift is taken
+    off, and after the offsets are squared.  numpy adds the rows of a
+    matrix of two or more columns one after another, so each later piece
+    is reduced under a carry row that holds the block's sums so far, which
+    makes the piece size change no bit.  A single column is summed
+    pairwise, which that order is not, so at ``horizon == 1`` the whole
+    block is one piece.
 
     Blocks are taken in turn from a shared counter by worker threads, at
     most one per CPU and one per block (the calling thread is one of them),
     each with its own :func:`~markovband.rng.stream_filler` and piece
     buffer, under the numpy error state of the calling thread; numpy
-    releases the GIL while it draws and computes.  A worker sums its whole
-    block and writes it to the block's slot, so no worker waits for
-    another, and the calling thread adds the slots after the join.  The
-    buffers are allocated by the calling thread, once per call.  A
-    worker's error stops the others from taking blocks and is raised once
-    they are joined.
+    releases the GIL while it draws and computes.  A worker takes a whole
+    block's three sums and writes them to the block's slot, so no worker
+    waits for another, and the calling thread adds the slots in block
+    order after the join.  The buffers are allocated by the calling
+    thread, once per call.  A worker's error stops the others from taking
+    blocks and is raised once they are joined.
     """
     import threading
 
@@ -311,7 +319,8 @@ def _column_sums(
     workers = min(_worker_count(), blocks)
     buffers = np.empty((workers, 1 + rows, horizon))  # row 0 is the carry row
     fillers = [stream_filler(seed) for _ in range(workers)]
-    block_sums = np.empty((blocks, horizon))
+    shift = x0 * rate
+    block_sums = np.empty((blocks, 3, horizon))  # costs, offsets, squares
     lock = threading.Lock()
     taken = 0  # blocks handed to workers
     failure: BaseException | None = None
@@ -329,7 +338,6 @@ def _column_sums(
                         taken += 1
                     start = block * BLOCK_PATHS
                     end = min(start + BLOCK_PATHS, count)
-                    sums = block_sums[block]
                     for first in range(start, end, rows):
                         n = min(rows, end - first)
                         piece = buf[1 : 1 + n]
@@ -339,14 +347,16 @@ def _column_sums(
                             fill.resume(piece)
                         walk_in_place(piece, x0, sigma)
                         piece *= rate
-                        if mean is not None:
-                            piece -= mean
-                            np.square(piece, out=piece)
-                        if first == start:
-                            np.add.reduce(piece, axis=0, out=sums)
-                        else:
-                            buf[0] = sums
-                            np.add.reduce(buf[: 1 + n], axis=0, out=sums)
+                        for k, sums in enumerate(block_sums[block]):
+                            if k == 1:
+                                piece -= shift
+                            elif k == 2:
+                                np.square(piece, out=piece)
+                            if first == start:
+                                np.add.reduce(piece, axis=0, out=sums)
+                            else:
+                                buf[0] = sums
+                                np.add.reduce(buf[: 1 + n], axis=0, out=sums)
         except BaseException as exc:  # raised again on the calling thread
             with lock:
                 if failure is None:
@@ -364,7 +374,7 @@ def _column_sums(
             thread.join()
     if failure is not None:
         raise failure
-    total = np.full(horizon, -0.0)
+    total = np.full((3, horizon), -0.0)
     for sums in block_sums:
         total += sums
     return total

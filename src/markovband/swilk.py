@@ -88,7 +88,7 @@ def _upper_half_weights(n: int) -> np.ndarray:
     half = n // 2
     # Blom scores m_j = Phi^-1((j - 3/8) / (n + 1/4)) for the upper half.
     m_up = norm_ppf((np.arange(n - half + 1, n + 1) - 0.375) / (n + 0.25))
-    msq = 2.0 * float(m_up @ m_up)  # ||m||^2; the middle score of odd n is 0
+    msq = 2.0 * float(_row_dot(m_up, m_up))  # ||m||^2; the middle score of odd n is 0
     u = 1.0 / math.sqrt(n)
     rms = math.sqrt(msq)
     a_last = np.polyval(_POLY_LAST, u) + m_up[-1] / rms
@@ -130,14 +130,18 @@ def sw_coefficients(n: int) -> np.ndarray:
     a[:half] = -upper[::-1]
     if n % 2:
         a[half] = 0.0
-    a /= math.sqrt(float(a @ a))
+    a /= math.sqrt(float(_row_dot(a, a)))
     a.setflags(write=False)
     return a
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot product of matching last-axis rows, one BLAS dot per row."""
-    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+    """Dot product of matching last-axis rows, summed pairwise by numpy.
+
+    No BLAS: its kernel is picked by CPU when it loads, and so would the
+    last bits of W be.
+    """
+    return np.add.reduce(u * v, axis=-1)
 
 
 def sw_statistic(sample: np.ndarray) -> float | np.ndarray:

@@ -142,24 +142,27 @@ def oracle_asc(months, rates) -> float:
     )
 
 
-def reference_sample_moments(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reference_sample_moments(
+    costs: np.ndarray, shift: float
+) -> tuple[np.ndarray, np.ndarray]:
     """``sample_cost_moments``' mean and stddev of a ``sample_costs`` matrix.
 
-    A plain loop over the matrix's blocks of ``BLOCK_PATHS`` rows: each
-    block's numpy column sum is added in block order to a total that starts
-    at -0.0, and the total over the path count is the mean.  The stddev
-    sums the blocks' squared deviations from that mean the same way.
+    A plain loop over the matrix's blocks of ``BLOCK_PATHS`` rows with three
+    column sums: of each block ``b``, of ``b - shift`` and of
+    ``(b - shift) ** 2``.  Each is added in block order to a total that
+    starts at -0.0.  The first total over the path count is the mean; the
+    other two, S1 and S2, give the stddev
+    ``sqrt(max(S2 - S1 * (S1 / N), 0) / (N - 1))``.
     """
-    count = len(costs)
-    blocks = [costs[i : i + BLOCK_PATHS] for i in range(0, count, BLOCK_PATHS)]
-    total = np.full(costs.shape[1], -0.0)
-    for block in blocks:
-        total = total + block.sum(axis=0)
-    mean = total / count
-    squares = np.full(costs.shape[1], -0.0)
-    for block in blocks:
-        squares = squares + ((block - mean) ** 2).sum(axis=0)
-    return mean, np.sqrt(squares / (count - 1))
+    count, horizon = costs.shape
+    total, s1, s2 = (np.full(horizon, -0.0) for _ in range(3))
+    for i in range(0, count, BLOCK_PATHS):
+        b = costs[i : i + BLOCK_PATHS]
+        total = total + b.sum(axis=0)
+        s1 = s1 + (b - shift).sum(axis=0)
+        s2 = s2 + ((b - shift) ** 2).sum(axis=0)
+    variance = np.maximum(s2 - s1 * (s1 / count), 0.0) / (count - 1)
+    return total / count, np.sqrt(variance)
 
 
 def reference_calibration(
@@ -289,7 +292,7 @@ def reference_sw_weights(n: int) -> np.ndarray:
                 for j in range(n - half + 1, n + 1)
             ]
         )
-        msq = 2.0 * float(m_up @ m_up)
+        msq = 2.0 * float(np.add.reduce(m_up * m_up))
         u = 1.0 / math.sqrt(n)
         rms = math.sqrt(msq)
         a_last = np.polyval(_ROYSTON_LAST, u) + m_up[-1] / rms
@@ -307,7 +310,7 @@ def reference_sw_weights(n: int) -> np.ndarray:
     a[:half] = -upper[::-1]
     if n % 2:
         a[half] = 0.0
-    return a / math.sqrt(float(a @ a))
+    return a / math.sqrt(float(np.add.reduce(a * a)))
 
 
 def reference_sw_pvalue(w: float, n: int) -> float:

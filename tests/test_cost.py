@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import sys
 import threading
 import time
@@ -198,17 +199,20 @@ def moments(*args, timeout=60):
     return outcome[0]
 
 
-def assert_matrix_moments(x0, sigma, horizon, summary, count, seed):
-    """The moments are numpy's for one block and the blocked reference's past it."""
+def assert_sample_moments(x0, sigma, horizon, summary, count, seed):
+    """The moments are numpy's where the matrix is summarised whole, and the
+    blocked reference's where it is streamed; returns the mean and the matrix."""
     mean, std = moments(x0, sigma, horizon, summary, count, seed)
     costs = sample_costs(x0, sigma, horizon, summary, count, seed)
-    if count <= BLOCK_PATHS:
+    if count <= BLOCK_PATHS and 8 * count * horizon <= cost.AHEAD_BYTES:
         expected_mean = costs.mean(axis=0)
         expected_std = costs.std(axis=0, ddof=1)
     else:
-        expected_mean, expected_std = reference_sample_moments(costs)
+        shift = x0 * summary.per_interruption
+        expected_mean, expected_std = reference_sample_moments(costs, shift)
     assert mean.tobytes() == expected_mean.tobytes()  # bitwise, signed zeros too
     assert std.tobytes() == expected_std.tobytes()
+    return mean, costs
 
 
 @pytest.mark.parametrize("horizon", [1, 12])
@@ -217,15 +221,15 @@ def assert_matrix_moments(x0, sigma, horizon, summary, count, seed):
 )
 def test_sample_cost_moments_are_the_matrix_moments_bitwise(horizon, count):
     summary = CostSummary(adc=22_500.0, asc=3_750.0, months=1)
-    assert_matrix_moments(10.0, 2.0, horizon, summary, count, seed=5)
+    assert_sample_moments(10.0, 2.0, horizon, summary, count, seed=5)
 
 
 @pytest.mark.parametrize("horizon", [1, 3])
 def test_sample_cost_moments_keep_signed_zeros(horizon):
     # Zero rates turn the negative paths into -0.0 costs; sigma 0 makes all of them.
     summary = CostSummary(adc=0.0, asc=0.0, months=1)
-    assert_matrix_moments(-5.0, 1.0, horizon, summary, BLOCK_PATHS + 9, seed=2)
-    assert_matrix_moments(-5.0, 0.0, horizon, summary, 40, seed=2)
+    assert_sample_moments(-5.0, 1.0, horizon, summary, BLOCK_PATHS + 9, seed=2)
+    assert_sample_moments(-5.0, 0.0, horizon, summary, 40, seed=2)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8, 16])
@@ -257,16 +261,74 @@ def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
     monkeypatch.setattr(cost, "PIECE_BYTES", 8 * horizon * 999)
     monkeypatch.setattr(cost, "_worker_count", lambda: workers)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
-    assert_matrix_moments(-1.0, 2.0, horizon, summary, count, seed=9)
+    assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
     zero = CostSummary(adc=0.0, asc=0.0, months=1)  # -0.0 costs
-    assert_matrix_moments(-5.0, 1.0, horizon, zero, count, seed=2)
+    assert_sample_moments(-5.0, 1.0, horizon, zero, count, seed=2)
 
 
 @pytest.mark.parametrize("count, horizon", [(2, 17), (400, 17), (BLOCK_PATHS, 100)])
-def test_streamed_single_blocks_are_the_matrix_moments(monkeypatch, count, horizon):
+def test_streamed_single_blocks_are_the_blocked_moments(monkeypatch, count, horizon):
     monkeypatch.setattr(cost, "AHEAD_BYTES", 0)  # stream any matrix
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
-    assert_matrix_moments(-1.0, 2.0, horizon, summary, count, seed=9)
+    mean, costs = assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
+    assert mean.tobytes() == costs.mean(axis=0).tobytes()  # one block: numpy's mean
+
+
+def fsum_std(costs):
+    """Per-column sample stddev from two passes of math.fsum, mean then squares."""
+    count = len(costs)
+    std = []
+    for column in costs.T:
+        mean = math.fsum(column) / count
+        std.append(math.sqrt(math.fsum((column - mean) ** 2) / (count - 1)))
+    return np.array(std)
+
+
+@pytest.mark.parametrize(
+    "x0, sigma, horizon, count",
+    [
+        (500.0, 7.0, 12, 300_000),
+        (1e8, 0.5, 12, 300_000),  # an offset 2e8 stddevs wide must not cancel
+        (500.0, 7.0, 1, 5 * BLOCK_PATHS + 11),
+    ],
+)
+def test_streamed_stddev_is_accurate(x0, sigma, horizon, count):
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    _, std = moments(x0, sigma, horizon, summary, count, 3)
+    costs = sample_costs(x0, sigma, horizon, summary, count, 3)
+    np.testing.assert_allclose(std, fsum_std(costs), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_streamed_constant_costs_have_a_zero_stddev(horizon):
+    # sigma 0 makes every cost the shift itself; a zero variance is no overflow.
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    mean, std = moments(500.0, 0.0, horizon, summary, BLOCK_PATHS + 9, 4)
+    assert mean.tobytes() == np.full(horizon, 875.0).tobytes()
+    assert std.tobytes() == np.zeros(horizon).tobytes()
+
+
+class ConstantNoise:
+    """A filler stub whose every draw is 0.3."""
+
+    def __init__(self, seed):
+        pass
+
+    def __call__(self, block, out):
+        out.fill(0.3)
+
+    def resume(self, out):
+        out.fill(0.3)
+
+
+def test_a_variance_rounded_below_zero_is_clamped_to_zero(monkeypatch):
+    # Equal costs off the shift: S2 - S1 * (S1 / N) rounds to -4.6e-08 and
+    # -1.7e-07 in the first two columns here, whose square root is a nan.
+    monkeypatch.setattr(cost, "stream_filler", ConstantNoise)
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    _, std = moments(500.0, 1.0, 3, summary, BLOCK_PATHS + 9, 0)
+    assert std[:2].tobytes() == np.zeros(2).tobytes()
+    assert 0.0 < std[2] < 1e-5  # 1.7e-06, the rounding of equal costs
 
 
 class BlockNumbers:
