@@ -220,17 +220,19 @@ def sample_cost_moments(
     ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.
 
     Any other count is streamed, in one pass of :func:`_column_sums` that
-    regenerates the matrix piece by piece, in one piece per worker thread
-    whatever ``count``, ``horizon`` and the CPU count are.  Block b of the
-    matrix is its rows ``b * BLOCK_PATHS`` on (stream b's paths).  Three
-    column sums are taken block by block and added in block order from
-    ``-0.0``: ``total`` of the costs, ``S1`` of their offsets ``costs - K``
-    from the shift ``K = x0 * rate`` (the expected cost of every step) and
-    ``S2`` of the offsets' squares.  ``mean`` is ``total / count``, which is
-    numpy's mean bit for bit for a count within one block.  ``std`` is the
-    shifted-data sample stddev of Chan, Golub & LeVeque (1983),
-    ``sqrt(max(S2 - S1 * (S1 / count), 0) / (count - 1))``, which may
-    differ from numpy's two-pass one in the last digits.
+    regenerates the matrix piece by piece, in two piece buffers per worker
+    thread whatever ``count``, ``horizon`` and the CPU count are.  Block b
+    of the matrix is its rows ``b * BLOCK_PATHS`` on (stream b's paths),
+    and a piece is ``PIECE_BYTES // (8 * horizon)`` of a block's paths.
+    Three sums are taken of each step over each piece, pairwise: ``total``
+    of the costs, ``S1`` of their offsets ``costs - K`` from the shift
+    ``K = x0 * rate`` (the expected cost of every step) and ``S2`` of the
+    offsets' squares.  They are added piece by piece into their block's,
+    and the blocks' in block order, each from ``-0.0``, so they do not
+    depend on the CPU count.  ``mean`` is ``total / count``.  ``std`` is
+    the shifted-data sample stddev of Chan, Golub & LeVeque (1983),
+    ``sqrt(max(S2 - S1 * (S1 / count), 0) / (count - 1))``.  Both may
+    differ from numpy's in the last digits.
 
     ``count`` must be at least 2, the fewest paths a sample stddev needs.
     Costs, or moments of them, beyond the float64 range are refused with a
@@ -254,10 +256,12 @@ def sample_cost_moments(
     return mean, std
 
 
-#: Bytes of one piece of a sample block: the rows drawn, walked and reduced at once.
+#: Bytes of one piece of a sample block: the paths drawn, walked and reduced at once.
 PIECE_BYTES = 1 << 18
 #: Bytes of the largest one-block cost matrix that is summarised whole.
 AHEAD_BYTES = 8 << 20
+#: Longest horizon whose pieces are walked one step row at a time.
+ROW_WALK_HORIZON = 128
 
 
 def _worker_count() -> int:
@@ -277,50 +281,50 @@ def _column_sums(
     count: int,
     seed: int,
 ) -> np.ndarray:
-    """Blocked column sums of the ``count`` x ``horizon`` cost matrix, in one pass.
+    """Piecewise column sums of the ``count`` x ``horizon`` cost matrix, in one pass.
 
     Block b is rows ``b * BLOCK_PATHS`` on, at most ``BLOCK_PATHS`` of
     them: stream b's noise, walked from ``x0`` and scaled by ``rate`` with
     the ops of :func:`sample_costs`.  Returns a ``(3, horizon)`` array: the
     sums of the costs, of their offsets ``cost - x0 * rate`` and of the
-    offsets' squares.  Each is the blocks' sums added in block order from
-    ``-0.0`` (which ``-0.0 + x`` leaves as ``x``, bit for bit), where each
-    block's sum is bitwise ``np.add.reduce`` of its rows (``axis=0``).
+    offsets' squares.
 
-    A block is drawn, walked and scaled in pieces of rows of about
-    :data:`PIECE_BYTES`, from one rewind of its stream; the rows of a path
-    never span two pieces, so the pieces are the block's bits.  Each piece
-    is reduced three times in place: as costs, after the shift is taken
-    off, and after the offsets are squared.  numpy adds the rows of a
-    matrix of two or more columns one after another, so each later piece
-    is reduced under a carry row that holds the block's sums so far, which
-    makes the piece size change no bit.  A single column is summed
-    pairwise, which that order is not, so at ``horizon == 1`` the whole
-    block is one piece.
+    A block is drawn in pieces of ``PIECE_BYTES // (8 * horizon)`` paths
+    (the last piece of a block may be shorter), from one rewind of its
+    stream, so the pieces are the block's bits.  Each piece is drawn one
+    path a row into a noise buffer and laid out one step a row in a piece
+    buffer, and each step's sum over the piece is numpy's pairwise
+    ``np.add.reduce(piece, axis=1)`` along a contiguous row.  Up to
+    :data:`ROW_WALK_HORIZON` steps the transposed noise is walked there a
+    row at a time (row k plus row k - 1, as ``cumsum`` adds); past it,
+    where the row adds cost more calls than they save, the noise is walked
+    by :func:`~markovband.forecast.walk_in_place` and then transposed.
+    Both give the bits of :func:`sample_costs`.  Each piece is reduced three
+    times in place: as costs, after the shift is taken off, and after the
+    offsets are squared.  The piece sums are added in piece order into the
+    block's slot, and the slots in block order into the total, each from
+    ``-0.0`` (which ``-0.0 + x`` leaves as ``x``, bit for bit).
 
     Blocks are taken in turn from a shared counter by worker threads, at
     most one per CPU and one per block (the calling thread is one of them),
-    each with its own :func:`~markovband.rng.stream_filler` and piece
-    buffer, under the numpy error state of the calling thread; numpy
-    releases the GIL while it draws and computes.  A worker takes a whole
-    block's three sums and writes them to the block's slot, so no worker
-    waits for another, and the calling thread adds the slots in block
-    order after the join.  The buffers are allocated by the calling
+    each with its own :func:`~markovband.rng.stream_filler`, noise buffer
+    and piece buffer, under the numpy error state of the calling thread;
+    numpy releases the GIL while it draws and computes.  A worker takes a
+    whole block's three sums and writes them to the block's slot, so no
+    worker waits for another, and the calling thread adds the slots in
+    block order after the join.  The buffers are allocated by the calling
     thread, once per call.  A worker's error stops the others from taking
     blocks and is raised once they are joined.
     """
     import threading
 
-    if horizon == 1:
-        rows = BLOCK_PATHS
-    else:
-        rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))
+    rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))
     blocks = -(-count // BLOCK_PATHS)
     workers = min(_worker_count(), blocks)
-    buffers = np.empty((workers, 1 + rows, horizon))  # row 0 is the carry row
+    buffers = np.empty((workers, 2, rows * horizon))  # noise, then piece
     fillers = [stream_filler(seed) for _ in range(workers)]
     shift = x0 * rate
-    block_sums = np.empty((blocks, 3, horizon))  # costs, offsets, squares
+    block_sums = np.full((blocks, 3, horizon), -0.0)  # costs, offsets, squares
     lock = threading.Lock()
     taken = 0  # blocks handed to workers
     failure: BaseException | None = None
@@ -336,27 +340,31 @@ def _column_sums(
                         if failure is not None or block == blocks:
                             return
                         taken += 1
+                    costs, offsets, squares = block_sums[block]
                     start = block * BLOCK_PATHS
                     end = min(start + BLOCK_PATHS, count)
                     for first in range(start, end, rows):
                         n = min(rows, end - first)
-                        piece = buf[1 : 1 + n]
+                        noise = buf[0, : n * horizon].reshape(n, horizon)
+                        piece = buf[1, : n * horizon].reshape(horizon, n)
                         if first == start:
-                            fill(block, piece)
+                            fill(block, noise)
                         else:
-                            fill.resume(piece)
-                        walk_in_place(piece, x0, sigma)
-                        piece *= rate
-                        for k, sums in enumerate(block_sums[block]):
-                            if k == 1:
-                                piece -= shift
-                            elif k == 2:
-                                np.square(piece, out=piece)
-                            if first == start:
-                                np.add.reduce(piece, axis=0, out=sums)
-                            else:
-                                buf[0] = sums
-                                np.add.reduce(buf[: 1 + n], axis=0, out=sums)
+                            fill.resume(noise)
+                        if horizon > ROW_WALK_HORIZON:
+                            walk_in_place(noise, x0, sigma)
+                            np.multiply(noise.T, rate, out=piece)
+                        else:
+                            np.multiply(noise.T, sigma, out=piece)
+                            for step, before in zip(piece[1:], piece):
+                                step += before
+                            piece += x0
+                            piece *= rate
+                        costs += np.add.reduce(piece, axis=1)
+                        piece -= shift
+                        offsets += np.add.reduce(piece, axis=1)
+                        np.square(piece, out=piece)
+                        squares += np.add.reduce(piece, axis=1)
         except BaseException as exc:  # raised again on the calling thread
             with lock:
                 if failure is None:

@@ -211,9 +211,9 @@ def _split_plain(text: str) -> tuple[list[str], np.ndarray] | None:
     if '"' in text or "\x00" in text:
         return None
     if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
         text = text.replace("\r\n", "\n")
+        if "\r" in text:  # a CR outside a CRLF
+            return None
     if not text or "\n\n" in text or text.startswith("\n"):
         return None
     text = text.removesuffix("\n")

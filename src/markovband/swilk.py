@@ -160,14 +160,17 @@ def sw_statistic(sample: np.ndarray) -> float | np.ndarray:
     _check_sample_size(n)
     if not np.all(np.isfinite(x)):
         raise ValueError("sample values must be finite")
+    # Both sums are numpy's pairwise ones, as in _row_dot (no BLAS), over
+    # products made in place: the squared deviations, then the weighted
+    # sorted values in ``x``, which is this call's own copy.
     centered = x - x.mean(axis=-1, keepdims=True)
-    ss = _row_dot(centered, centered)
+    ss = np.add.reduce(np.square(centered, out=centered), axis=-1)
     if np.any(ss == 0.0):
         raise InapplicableSampleError(
             "sample spread is zero (values all equal, or indistinguishable "
             "at float precision); the W statistic is undefined"
         )
-    b = _row_dot(x, sw_coefficients(n))
+    b = np.add.reduce(np.multiply(x, sw_coefficients(n), out=x), axis=-1)
     w = b * b / ss
     return float(w) if x.ndim == 1 else w
 

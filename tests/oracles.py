@@ -143,24 +143,31 @@ def oracle_asc(months, rates) -> float:
 
 
 def reference_sample_moments(
-    costs: np.ndarray, shift: float
+    costs: np.ndarray, shift: float, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``sample_cost_moments``' mean and stddev of a ``sample_costs`` matrix.
 
-    A plain loop over the matrix's blocks of ``BLOCK_PATHS`` rows with three
-    column sums: of each block ``b``, of ``b - shift`` and of
-    ``(b - shift) ** 2``.  Each is added in block order to a total that
-    starts at -0.0.  The first total over the path count is the mean; the
-    other two, S1 and S2, give the stddev
+    A plain loop over the matrix's blocks of ``BLOCK_PATHS`` rows and each
+    block's pieces of ``rows`` rows.  A piece is copied transposed, one step
+    a row, and three row sums are taken of the copy ``p``: of ``p``, of
+    ``p - shift`` and of ``(p - shift) ** 2``.  Each is added in piece order
+    to a block total that starts at -0.0, and the block totals in block
+    order to a total that starts at -0.0.  The first total over the path
+    count is the mean; the other two, S1 and S2, give the stddev
     ``sqrt(max(S2 - S1 * (S1 / N), 0) / (N - 1))``.
     """
     count, horizon = costs.shape
-    total, s1, s2 = (np.full(horizon, -0.0) for _ in range(3))
+    totals = np.full((3, horizon), -0.0)
     for i in range(0, count, BLOCK_PATHS):
-        b = costs[i : i + BLOCK_PATHS]
-        total = total + b.sum(axis=0)
-        s1 = s1 + (b - shift).sum(axis=0)
-        s2 = s2 + ((b - shift) ** 2).sum(axis=0)
+        block = costs[i : i + BLOCK_PATHS]
+        sums = np.full((3, horizon), -0.0)
+        for j in range(0, len(block), rows):
+            p = np.ascontiguousarray(block[j : j + rows].T)
+            sums = sums + np.array(
+                [p.sum(axis=1), (p - shift).sum(axis=1), ((p - shift) ** 2).sum(axis=1)]
+            )
+        totals = totals + sums
+    total, s1, s2 = totals
     variance = np.maximum(s2 - s1 * (s1 / count), 0.0) / (count - 1)
     return total / count, np.sqrt(variance)
 

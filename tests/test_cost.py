@@ -199,9 +199,14 @@ def moments(*args, timeout=60):
     return outcome[0]
 
 
+def piece_rows(horizon):
+    """Paths in one piece of a streamed block."""
+    return max(1, min(BLOCK_PATHS, cost.PIECE_BYTES // (8 * horizon)))
+
+
 def assert_sample_moments(x0, sigma, horizon, summary, count, seed):
     """The moments are numpy's where the matrix is summarised whole, and the
-    blocked reference's where it is streamed; returns the mean and the matrix."""
+    piecewise reference's where it is streamed."""
     mean, std = moments(x0, sigma, horizon, summary, count, seed)
     costs = sample_costs(x0, sigma, horizon, summary, count, seed)
     if count <= BLOCK_PATHS and 8 * count * horizon <= cost.AHEAD_BYTES:
@@ -209,13 +214,14 @@ def assert_sample_moments(x0, sigma, horizon, summary, count, seed):
         expected_std = costs.std(axis=0, ddof=1)
     else:
         shift = x0 * summary.per_interruption
-        expected_mean, expected_std = reference_sample_moments(costs, shift)
+        expected_mean, expected_std = reference_sample_moments(
+            costs, shift, piece_rows(horizon)
+        )
     assert mean.tobytes() == expected_mean.tobytes()  # bitwise, signed zeros too
     assert std.tobytes() == expected_std.tobytes()
-    return mean, costs
 
 
-@pytest.mark.parametrize("horizon", [1, 12])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 12])
 @pytest.mark.parametrize(
     "count", [2, 400, BLOCK_PATHS, BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 7]
 )
@@ -236,13 +242,14 @@ def test_sample_cost_moments_keep_signed_zeros(horizon):
 def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers):
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     count = 5 * BLOCK_PATHS + 3
-    expected = [moments(3.0, 0.5, horizon, summary, count, 11) for horizon in (1, 2)]
+    horizons = (1, 2, 12)
+    expected = [moments(3.0, 0.5, horizon, summary, count, 11) for horizon in horizons]
     monkeypatch.setattr(cost, "_worker_count", lambda: workers)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
     try:
-        got = [moments(3.0, 0.5, horizon, summary, count, 11) for horizon in (1, 2)]
+        got = [moments(3.0, 0.5, horizon, summary, count, 11) for horizon in horizons]
     finally:
         sys.setswitchinterval(interval)
     for (mean, std), (want_mean, want_std) in zip(got, expected):
@@ -253,13 +260,17 @@ def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers)
 @pytest.mark.parametrize("horizon", [2, 3, 12])
 @pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("count", [BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 7])
+@pytest.mark.parametrize("walk", ["rows", "paths"])
 def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
-    monkeypatch, horizon, workers, count
+    monkeypatch, horizon, workers, count, walk
 ):
     # 999-row pieces do not divide a block, the last piece of a block is
-    # short, and the last block is shorter still.
+    # short, and the last block is shorter still.  Both walks are taken:
+    # one step row at a time, and whole paths before the transpose.
     monkeypatch.setattr(cost, "PIECE_BYTES", 8 * horizon * 999)
     monkeypatch.setattr(cost, "_worker_count", lambda: workers)
+    if walk == "paths":
+        monkeypatch.setattr(cost, "ROW_WALK_HORIZON", horizon - 1)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
     zero = CostSummary(adc=0.0, asc=0.0, months=1)  # -0.0 costs
@@ -267,11 +278,20 @@ def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
 
 
 @pytest.mark.parametrize("count, horizon", [(2, 17), (400, 17), (BLOCK_PATHS, 100)])
-def test_streamed_single_blocks_are_the_blocked_moments(monkeypatch, count, horizon):
+def test_streamed_single_blocks_are_the_piecewise_moments(monkeypatch, count, horizon):
     monkeypatch.setattr(cost, "AHEAD_BYTES", 0)  # stream any matrix
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
-    mean, costs = assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
-    assert mean.tobytes() == costs.mean(axis=0).tobytes()  # one block: numpy's mean
+    assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
+
+
+@pytest.mark.parametrize(
+    "horizon", [100, cost.ROW_WALK_HORIZON, cost.ROW_WALK_HORIZON + 1]
+)
+def test_streamed_moments_at_long_horizons_are_the_piecewise_moments(horizon):
+    # ROW_WALK_HORIZON is the longest horizon walked a step row at a time,
+    # and one more the shortest walked path by path; each over two blocks.
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    assert_sample_moments(-1.0, 2.0, horizon, summary, BLOCK_PATHS + 1, seed=9)
 
 
 def fsum_std(costs):
@@ -299,6 +319,21 @@ def test_streamed_stddev_is_accurate(x0, sigma, horizon, count):
     np.testing.assert_allclose(std, fsum_std(costs), rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("horizon", [12, cost.ROW_WALK_HORIZON + 1])
+def test_streamed_moments_match_the_walks_exact_moments(horizon):
+    # Step k's cost is N(x0 * rate, k * (sigma * rate)**2).  Each step's mean
+    # and stddev must lie within 4 standard errors of the exact values: a
+    # summation fault that the piecewise reference shares fails here.
+    x0, sigma, count = 40.0, 3.0, 400_000
+    summary = CostSummary(adc=1.5, asc=0.25, months=2)
+    rate = summary.per_interruption
+    mean, std = moments(x0, sigma, horizon, summary, count, 21)
+    exact_std = np.sqrt(np.arange(1, horizon + 1)) * sigma * rate
+    assert np.all(np.abs(mean - x0 * rate) <= 4 * exact_std / math.sqrt(count))
+    std_error = exact_std / math.sqrt(2 * (count - 1))
+    assert np.all(np.abs(std - exact_std) <= 4 * std_error)
+
+
 @pytest.mark.parametrize("horizon", [1, 3])
 def test_streamed_constant_costs_have_a_zero_stddev(horizon):
     # sigma 0 makes every cost the shift itself; a zero variance is no overflow.
@@ -322,36 +357,40 @@ class ConstantNoise:
 
 
 def test_a_variance_rounded_below_zero_is_clamped_to_zero(monkeypatch):
-    # Equal costs off the shift: S2 - S1 * (S1 / N) rounds to -4.6e-08 and
-    # -1.7e-07 in the first two columns here, whose square root is a nan.
+    # Equal costs off the shift: S2 - S1 * (S1 / N) rounds to -7.3e-12 and
+    # -1.5e-11 in the last two columns here, whose square root is a nan.
     monkeypatch.setattr(cost, "stream_filler", ConstantNoise)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
-    _, std = moments(500.0, 1.0, 3, summary, BLOCK_PATHS + 9, 0)
-    assert std[:2].tobytes() == np.zeros(2).tobytes()
-    assert 0.0 < std[2] < 1e-5  # 1.7e-06, the rounding of equal costs
+    _, std = moments(500.0, 0.7, 3, summary, BLOCK_PATHS + 9, 0)
+    assert std[1:].tobytes() == np.zeros(2).tobytes()
+    assert 0.0 < std[0] < 1e-5  # 5.3e-09, the rounding of equal costs
 
 
-class BlockNumbers:
-    """A filler stub whose noise is the number of the block being drawn."""
+def block_filler(draw):
+    """A filler stub class that calls ``draw(block)`` on each draw of a block
+    and fills the noise with the block's number."""
 
-    def __init__(self, seed):
-        self.block = None
+    class BlockNumbers:
+        def __init__(self, seed):
+            self.block = None
 
-    def __call__(self, block, out):
-        self.block = block
-        out.fill(float(block))
+        def __call__(self, block, out):
+            self.block = block
+            self.resume(out)
 
-    def resume(self, out):
-        out.fill(float(self.block))
+        def resume(self, out):
+            draw(self.block)
+            out.fill(float(self.block))
+
+    return BlockNumbers
 
 
 def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
-    def fail_on_block_two(paths, x0, sigma):
-        if paths[0, 0] == 2.0:
+    def fail_on_block_two(block):
+        if block == 2:
             raise RuntimeError("block 2 failed")
 
-    monkeypatch.setattr(cost, "stream_filler", BlockNumbers)
-    monkeypatch.setattr(cost, "walk_in_place", fail_on_block_two)
+    monkeypatch.setattr(cost, "stream_filler", block_filler(fail_on_block_two))
     monkeypatch.setattr(cost, "_worker_count", lambda: 2)
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
@@ -366,8 +405,7 @@ def test_a_worker_error_stops_the_other_workers_taking_blocks(monkeypatch):
     walked = set()
     failed = threading.Event()
 
-    def fail_in_block_zero(paths, x0, sigma):
-        block = int(paths[0, 0])
+    def fail_in_block_zero(block):
         walked.add(block)
         if block == 0:
             deadline = time.monotonic() + 10
@@ -381,8 +419,7 @@ def test_a_worker_error_stops_the_other_workers_taking_blocks(monkeypatch):
 
     escaped = []  # errors that left a worker thread instead of the call
     monkeypatch.setattr(threading, "excepthook", escaped.append)
-    monkeypatch.setattr(cost, "stream_filler", BlockNumbers)
-    monkeypatch.setattr(cost, "walk_in_place", fail_in_block_zero)
+    monkeypatch.setattr(cost, "stream_filler", block_filler(fail_in_block_zero))
     monkeypatch.setattr(cost, "_worker_count", lambda: 3)
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
@@ -406,52 +443,51 @@ def traced_peak(monkeypatch, workers, horizon, count):
     return peak
 
 
-def assert_one_piece_per_worker(monkeypatch, workers, horizon, count):
-    """The traced peak is one piece buffer per worker the call runs, and slack.
+def assert_two_pieces_per_worker(monkeypatch, workers, horizon, count):
+    """The traced peak is two piece buffers per worker the call runs, and slack.
 
-    A buffer is a carry row and ``rows`` rows of ``horizon`` floats, a whole
-    block at horizon 1 and else about PIECE_BYTES.  The slack, 64 KiB a
-    worker and 64 KiB more, is for each worker's filler and the call's small
-    arrays (here at most 31 KiB a worker and 80 KiB besides).
+    A buffer is ``rows`` paths of ``horizon`` floats, about PIECE_BYTES:
+    one holds the noise, the other the piece one step a row.  The slack,
+    64 KiB a worker and 64 KiB more, is for each worker's filler and the
+    call's small arrays.
     """
     used = min(workers, -(-count // BLOCK_PATHS))
-    rows = BLOCK_PATHS if horizon == 1 else cost.PIECE_BYTES // (8 * horizon)
     peak = traced_peak(monkeypatch, workers, horizon, count)
-    assert peak <= used * (1 + rows) * horizon * 8 + (1 + used) * 64 * 1024
+    assert peak <= used * 2 * piece_rows(horizon) * horizon * 8 + (1 + used) * 64 * 1024
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_count(monkeypatch):
     # The cost matrix would be 96 MB; a pool of pieces filled ahead of the
     # block being summed took 6.9 MiB here.
-    assert_one_piece_per_worker(monkeypatch, 2, 12, 1_000_000)
+    assert_two_pieces_per_worker(monkeypatch, 2, 12, 1_000_000)
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_count_at_horizon_1(
     monkeypatch,
 ):
     # Summarising the 32 MB column whole took 61.0 MiB here.
-    assert_one_piece_per_worker(monkeypatch, 2, 1, 4_000_000)
+    assert_two_pieces_per_worker(monkeypatch, 2, 1, 4_000_000)
 
 
-def test_sample_cost_moments_memory_is_one_piece_per_worker(monkeypatch):
+def test_sample_cost_moments_memory_is_two_pieces_per_worker(monkeypatch):
     # Eight CPUs on nine blocks.
-    assert_one_piece_per_worker(monkeypatch, 8, 12, 9 * BLOCK_PATHS)
+    assert_two_pieces_per_worker(monkeypatch, 8, 12, 9 * BLOCK_PATHS)
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_the_worker_count(monkeypatch):
     # A pool of 8 MiB a worker took 99 MB here at 16 workers, about the
     # 96 MB cost matrix itself, and a shared pool 19.5 MiB.
-    assert_one_piece_per_worker(monkeypatch, 16, 12, 1_000_000)
+    assert_two_pieces_per_worker(monkeypatch, 16, 12, 1_000_000)
 
 
 def test_sample_cost_moments_memory_does_not_grow_with_the_horizon(monkeypatch):
     # One block of 2**16 x 500 floats is 262 MB; two blocks take two workers.
-    assert_one_piece_per_worker(monkeypatch, 8, 500, BLOCK_PATHS + 1)
+    assert_two_pieces_per_worker(monkeypatch, 8, 500, BLOCK_PATHS + 1)
 
 
 def test_a_single_block_past_the_ahead_budget_is_streamed(monkeypatch):
     # 2**16 x 100 floats is 52 MB; one worker streams it.
-    assert_one_piece_per_worker(monkeypatch, 8, 100, BLOCK_PATHS)
+    assert_two_pieces_per_worker(monkeypatch, 8, 100, BLOCK_PATHS)
 
 
 def test_sample_cost_moments_need_two_paths():

@@ -211,6 +211,24 @@ def test_series_loader_is_the_csv_reference(text):
     assert got == outcome(reference_load_series, text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["a\r\r\nb", "a\rb", "a\n\rb", "a\nb\r", "\r", "\r\n\r\n",
+     "1\r\r\n2\r\n3\r\n", "1\r\n2\n\r3\n", "1\r\n2\r\n3\r", "1\r\n2\r\n3\r\n"],
+)
+def test_carriage_returns_get_the_csv_result(text):
+    # Only CRs that begin a CRLF are plain line breaks; any other CR leaves
+    # the split to the csv module.
+    plain = series_module._split_plain(text)
+    if "\r" in text.replace("\r\n", ""):
+        assert plain is None
+    elif plain is not None:
+        fields, widths = series_module._split_csv(text)
+        assert plain[0] == fields and plain[1].tolist() == widths.tolist()
+    got = outcome(lambda t: load_series(io.StringIO(t)), text)
+    assert got == outcome(reference_load_series, text)
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
 @pytest.mark.parametrize("rows", [
     ["1.5", "2", "-3e-2", "4_0"],

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,22 @@ def test_statistic_batch_row_checks():
         sw_statistic(non_finite)
     with pytest.raises(ValueError, match="sample size"):
         sw_statistic(np.ones((4, 2)))
+
+
+def test_statistic_works_in_its_own_copy_of_the_batch():
+    # Two batch-sized arrays: the sorted copy, weighted in place, and the
+    # deviations, squared in place.  A full product of either makes a third.
+    x = substream(REGRESSION_SEED, 1).standard_normal((2000, 49))
+    before = x.copy()
+    sw_statistic(x)  # the weights are cached before the trace
+    tracemalloc.start()
+    try:
+        sw_statistic(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.nbytes
+    assert x.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("sample", [[1.0, 2.0], list(range(MAX_SAMPLE + 1))])
@@ -351,13 +368,15 @@ def test_weights_are_bitwise_those_of_scalar_blom_scores(sizes):
 
 # A small workload whose output holds every W bit the package prints: the
 # weights, batch and per-row W, p-values, `check` on every tests/data series
-# under both rules, and calibration reports.  One line per item, so a
-# mismatch names what moved.
+# under both rules, and calibration reports; and the streamed `cost --sample`
+# moments, which numpy sums pairwise.  One line per item, so a mismatch names
+# what moved.
 BITS_SCRIPT = r"""
 import contextlib, hashlib, io, json, pathlib
 import numpy as np
 from markovband.cli import main
-from markovband.rng import substream
+from markovband.cost import ROW_WALK_HORIZON, CostSummary, sample_cost_moments
+from markovband.rng import BLOCK_PATHS, substream
 from markovband.simulate import run_calibration
 from markovband.swilk import sw_coefficients, sw_pvalue, sw_statistic
 
@@ -381,7 +400,39 @@ for length in (10, 50, 200):
     for rule in ("paper-threshold", "p-value"):
         report = run_calibration(trials=200, walk_length=length, rule=rule, seed=3)
         line(f"calibrate {length} {rule}", json.dumps(report.to_dict()).encode())
+summary = CostSummary(adc=1.5, asc=0.25, months=2)
+for horizon in (1, 12, 100, ROW_WALK_HORIZON + 1):
+    mean, std = sample_cost_moments(3.0, 0.5, horizon, summary, 2 * BLOCK_PATHS + 3, 5)
+    line(f"moments {horizon}", mean.tobytes() + std.tobytes())
 """
+
+
+def bits_script_lines(**variables):
+    """The lines BITS_SCRIPT prints with ``variables`` set in its environment."""
+    root = Path(__file__).parents[1]
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    }
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    env.update(variables)
+    proc = subprocess.run(
+        [sys.executable, "-c", BITS_SCRIPT],
+        capture_output=True, text=True, cwd=root, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def assert_same_lines(default, outputs):
+    assert default
+    for setting, lines in outputs.items():
+        moved = [a.split()[:-1] for a, b in zip(default, lines) if a != b]
+        assert lines == default, f"under {setting}: {moved}"
 
 
 def test_w_bits_do_not_depend_on_the_blas_kernel():
@@ -389,24 +440,36 @@ def test_w_bits_do_not_depend_on_the_blas_kernel():
     # forces one for a single process.  W is summed by numpy, not BLAS, so
     # each kernel must print the same bytes.  (A BLAS other than OpenBLAS
     # ignores the variable, and so does OpenBLAS built for one CPU.)
-    root = Path(__file__).parents[1]
+    outputs = {
+        coretype: bits_script_lines(OPENBLAS_CORETYPE=coretype)
+        for coretype in ("Haswell", "Zen", "Prescott")
+    }
+    assert_same_lines(bits_script_lines(), outputs)
+
+
+def dispatched_cpu_features():
+    """The SIMD features above its baseline that numpy dispatches to on this
+    CPU, in numpy's order (lowest first)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def test_printed_bits_do_not_depend_on_numpys_cpu_dispatch():
+    # numpy picks SIMD kernels by CPU at import; NPY_DISABLE_CPU_FEATURES
+    # turns features off for a single process.  The sums behind W and the
+    # streamed moments are numpy's pairwise ones, whose order no kernel
+    # changes, so a run with every feature but the lowest off (on x86-64:
+    # X86_V4 and AVX512_*) and one with all of them off must print the
+    # default's bytes.
+    features = dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy dispatches to no feature above its baseline here")
     outputs = {}
-    for coretype in (None, "Haswell", "Zen", "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    for off in {" ".join(features[1:]), " ".join(features)} - {""}:
+        outputs[f"NPY_DISABLE_CPU_FEATURES={off}"] = bits_script_lines(
+            NPY_DISABLE_CPU_FEATURES=off
         )
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
-        proc = subprocess.run(
-            [sys.executable, "-c", BITS_SCRIPT],
-            capture_output=True, text=True, cwd=root, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[coretype or "default"] = proc.stdout.splitlines()
-    default = outputs.pop("default")
-    assert default
-    for coretype, lines in outputs.items():
-        moved = [a.split()[:-1] for a, b in zip(default, lines) if a != b]
-        assert lines == default, f"under {coretype}: {moved}"
+    assert_same_lines(bits_script_lines(), outputs)
