@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forecast import ForecastBand, check_walk, sample_paths, walk_in_place
+from .forecast import ForecastBand, check_walk, sample_paths
 from .rng import BLOCK_PATHS, stream_filler
 from .series import Source, read_csv, read_text
 
@@ -260,8 +260,6 @@ def sample_cost_moments(
 PIECE_BYTES = 1 << 18
 #: Bytes of the largest one-block cost matrix that is summarised whole.
 AHEAD_BYTES = 8 << 20
-#: Longest horizon whose pieces are walked one step row at a time.
-ROW_WALK_HORIZON = 128
 
 
 def _worker_count() -> int:
@@ -294,14 +292,12 @@ def _column_sums(
     stream, so the pieces are the block's bits.  Each piece is drawn one
     path a row into a noise buffer and laid out one step a row in a piece
     buffer, and each step's sum over the piece is numpy's pairwise
-    ``np.add.reduce(piece, axis=1)`` along a contiguous row.  Up to
-    :data:`ROW_WALK_HORIZON` steps the transposed noise is walked there a
-    row at a time (row k plus row k - 1, as ``cumsum`` adds); past it,
-    where the row adds cost more calls than they save, the noise is walked
-    by :func:`~markovband.forecast.walk_in_place` and then transposed.
-    Both give the bits of :func:`sample_costs`.  Each piece is reduced three
-    times in place: as costs, after the shift is taken off, and after the
-    offsets are squared.  The piece sums are added in piece order into the
+    ``np.add.reduce(piece, axis=1)`` along a contiguous row.  The
+    transposed noise is walked there a row at a time (row k plus row
+    k - 1, as ``cumsum`` adds), which gives the bits of
+    :func:`sample_costs`.  Each piece is reduced three times in place: as
+    costs, after the shift is taken off, and after the offsets are
+    squared.  The piece sums are added in piece order into the
     block's slot, and the slots in block order into the total, each from
     ``-0.0`` (which ``-0.0 + x`` leaves as ``x``, bit for bit).
 
@@ -351,15 +347,11 @@ def _column_sums(
                             fill(block, noise)
                         else:
                             fill.resume(noise)
-                        if horizon > ROW_WALK_HORIZON:
-                            walk_in_place(noise, x0, sigma)
-                            np.multiply(noise.T, rate, out=piece)
-                        else:
-                            np.multiply(noise.T, sigma, out=piece)
-                            for step, before in zip(piece[1:], piece):
-                                step += before
-                            piece += x0
-                            piece *= rate
+                        np.multiply(noise.T, sigma, out=piece)
+                        for step, before in zip(piece[1:], piece):
+                            step += before
+                        piece += x0
+                        piece *= rate
                         costs += np.add.reduce(piece, axis=1)
                         piece -= shift
                         offsets += np.add.reduce(piece, axis=1)

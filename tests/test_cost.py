@@ -260,17 +260,13 @@ def test_sample_cost_moments_do_not_depend_on_worker_count(monkeypatch, workers)
 @pytest.mark.parametrize("horizon", [2, 3, 12])
 @pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("count", [BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 7])
-@pytest.mark.parametrize("walk", ["rows", "paths"])
 def test_sample_cost_moments_are_the_matrix_moments_across_pieces(
-    monkeypatch, horizon, workers, count, walk
+    monkeypatch, horizon, workers, count
 ):
     # 999-row pieces do not divide a block, the last piece of a block is
-    # short, and the last block is shorter still.  Both walks are taken:
-    # one step row at a time, and whole paths before the transpose.
+    # short, and the last block is shorter still.
     monkeypatch.setattr(cost, "PIECE_BYTES", 8 * horizon * 999)
     monkeypatch.setattr(cost, "_worker_count", lambda: workers)
-    if walk == "paths":
-        monkeypatch.setattr(cost, "ROW_WALK_HORIZON", horizon - 1)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
     zero = CostSummary(adc=0.0, asc=0.0, months=1)  # -0.0 costs
@@ -284,14 +280,10 @@ def test_streamed_single_blocks_are_the_piecewise_moments(monkeypatch, count, ho
     assert_sample_moments(-1.0, 2.0, horizon, summary, count, seed=9)
 
 
-@pytest.mark.parametrize(
-    "horizon", [100, cost.ROW_WALK_HORIZON, cost.ROW_WALK_HORIZON + 1]
-)
-def test_streamed_moments_at_long_horizons_are_the_piecewise_moments(horizon):
-    # ROW_WALK_HORIZON is the longest horizon walked a step row at a time,
-    # and one more the shortest walked path by path; each over two blocks.
+def test_streamed_moments_at_long_horizons_are_the_piecewise_moments():
+    # 100 step rows of 327-path pieces, over two blocks.
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
-    assert_sample_moments(-1.0, 2.0, horizon, summary, BLOCK_PATHS + 1, seed=9)
+    assert_sample_moments(-1.0, 2.0, 100, summary, BLOCK_PATHS + 1, seed=9)
 
 
 def fsum_std(costs):
@@ -319,7 +311,7 @@ def test_streamed_stddev_is_accurate(x0, sigma, horizon, count):
     np.testing.assert_allclose(std, fsum_std(costs), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("horizon", [12, cost.ROW_WALK_HORIZON + 1])
+@pytest.mark.parametrize("horizon", [12, 100])
 def test_streamed_moments_match_the_walks_exact_moments(horizon):
     # Step k's cost is N(x0 * rate, k * (sigma * rate)**2).  Each step's mean
     # and stddev must lie within 4 standard errors of the exact values: a

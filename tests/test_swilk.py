@@ -375,7 +375,7 @@ BITS_SCRIPT = r"""
 import contextlib, hashlib, io, json, pathlib
 import numpy as np
 from markovband.cli import main
-from markovband.cost import ROW_WALK_HORIZON, CostSummary, sample_cost_moments
+from markovband.cost import CostSummary, sample_cost_moments
 from markovband.rng import BLOCK_PATHS, substream
 from markovband.simulate import run_calibration
 from markovband.swilk import sw_coefficients, sw_pvalue, sw_statistic
@@ -401,7 +401,7 @@ for length in (10, 50, 200):
         report = run_calibration(trials=200, walk_length=length, rule=rule, seed=3)
         line(f"calibrate {length} {rule}", json.dumps(report.to_dict()).encode())
 summary = CostSummary(adc=1.5, asc=0.25, months=2)
-for horizon in (1, 12, 100, ROW_WALK_HORIZON + 1):
+for horizon in (1, 12, 100):
     mean, std = sample_cost_moments(3.0, 0.5, horizon, summary, 2 * BLOCK_PATHS + 3, 5)
     line(f"moments {horizon}", mean.tobytes() + std.tobytes())
 """
@@ -428,6 +428,12 @@ def bits_script_lines(**variables):
     return proc.stdout.splitlines()
 
 
+@pytest.fixture(scope="module")
+def default_lines():
+    """The lines BITS_SCRIPT prints with neither variable set, run once."""
+    return bits_script_lines()
+
+
 def assert_same_lines(default, outputs):
     assert default
     for setting, lines in outputs.items():
@@ -435,7 +441,7 @@ def assert_same_lines(default, outputs):
         assert lines == default, f"under {setting}: {moved}"
 
 
-def test_w_bits_do_not_depend_on_the_blas_kernel():
+def test_w_bits_do_not_depend_on_the_blas_kernel(default_lines):
     # OpenBLAS picks its kernels by CPU when it loads; OPENBLAS_CORETYPE
     # forces one for a single process.  W is summed by numpy, not BLAS, so
     # each kernel must print the same bytes.  (A BLAS other than OpenBLAS
@@ -444,7 +450,7 @@ def test_w_bits_do_not_depend_on_the_blas_kernel():
         coretype: bits_script_lines(OPENBLAS_CORETYPE=coretype)
         for coretype in ("Haswell", "Zen", "Prescott")
     }
-    assert_same_lines(bits_script_lines(), outputs)
+    assert_same_lines(default_lines, outputs)
 
 
 def dispatched_cpu_features():
@@ -457,7 +463,7 @@ def dispatched_cpu_features():
     return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 
 
-def test_printed_bits_do_not_depend_on_numpys_cpu_dispatch():
+def test_printed_bits_do_not_depend_on_numpys_cpu_dispatch(default_lines):
     # numpy picks SIMD kernels by CPU at import; NPY_DISABLE_CPU_FEATURES
     # turns features off for a single process.  The sums behind W and the
     # streamed moments are numpy's pairwise ones, whose order no kernel
@@ -472,4 +478,4 @@ def test_printed_bits_do_not_depend_on_numpys_cpu_dispatch():
         outputs[f"NPY_DISABLE_CPU_FEATURES={off}"] = bits_script_lines(
             NPY_DISABLE_CPU_FEATURES=off
         )
-    assert_same_lines(bits_script_lines(), outputs)
+    assert_same_lines(default_lines, outputs)
