@@ -14,8 +14,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .cost import (
     cost_band,
     load_events,
@@ -23,10 +21,10 @@ from .cost import (
     sample_cost_moments,
     summarize_costs,
 )
-from .forecast import ForecastBand, band
-from .markov import MarkovVerdict, check_markov
+from .forecast import ForecastBand, band, step_rows
+from .markov import check_markov
 from .rng import DEFAULT_SEED
-from .series import load_series
+from .series import TimeSeries, load_series
 from .simulate import run_calibration, t_coverage
 from .swilk import RULE_PAPER_THRESHOLD, RULES
 
@@ -92,6 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
+    def add_horizon(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--horizon",
+            type=_positive_int,
+            default=12,
+            help="steps ahead (default: 12)",
+        )
+
+    def add_force(p: argparse.ArgumentParser, output: str) -> None:
+        p.add_argument(
+            "--force",
+            action="store_true",
+            help=f"emit the {output} even when the series fails the Markov check",
+        )
+
     p_check = sub.add_parser(
         "check", help="test whether the series passes the Markov check"
     )
@@ -104,24 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_series(p_forecast)
     add_rule(p_forecast)
-    p_forecast.add_argument(
-        "--horizon", type=_positive_int, default=12, help="steps ahead (default: 12)"
-    )
+    add_horizon(p_forecast)
     p_forecast.add_argument(
         "--format",
         choices=("json", "plot-csv"),
         default="json",
         help="output format (default: json)",
     )
-    p_forecast.add_argument(
-        "--force",
-        action="store_true",
-        help="emit the band even when the series fails the Markov check",
-    )
+    add_force(p_forecast, "band")
     p_forecast.set_defaults(func=_cmd_forecast)
 
     p_cost = sub.add_parser(
-        "cost", help="convert the prediction band into interruption costs"
+        "cost",
+        help="convert the prediction band into interruption costs",
+        description="The Markov check runs at the paper-threshold rule, p = 0.05.",
     )
     add_series(p_cost)
     p_cost.add_argument(
@@ -130,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument(
         "--rates", required=True, help="key=value file with per-event dollar rates"
     )
-    p_cost.add_argument(
-        "--horizon", type=_positive_int, default=12, help="steps ahead (default: 12)"
-    )
+    add_horizon(p_cost)
     p_cost.add_argument(
         "--sample",
         type=_sample_count,
@@ -146,11 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help=f"seed for --sample (default: {DEFAULT_SEED})",
     )
-    p_cost.add_argument(
-        "--force",
-        action="store_true",
-        help="emit the costs even when the series fails the Markov check",
-    )
+    add_force(p_cost, "costs")
     p_cost.set_defaults(func=_cmd_cost)
 
     p_sim = sub.add_parser(
@@ -169,9 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--sigma", type=float, default=1.0, help="true noise scale (default: 1.0)"
     )
-    p_sim.add_argument(
-        "--horizon", type=_positive_int, default=12, help="steps ahead (default: 12)"
-    )
+    add_horizon(p_sim)
     add_rule(p_sim)
     p_sim.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help=f"default: {DEFAULT_SEED}"
@@ -181,34 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _verdict_payload(verdict: MarkovVerdict) -> dict:
-    payload: dict = {
-        "is_markov": verdict.is_markov,
-        "w": verdict.sw.w,
-        "threshold": verdict.sw.threshold,
-        "rule": verdict.sw.rule,
-    }
-    if verdict.sw.p_value is not None:
-        payload["p_value"] = verdict.sw.p_value
-    payload.update(
-        {
-            "error_mean": verdict.error_mean,
-            "error_stddev": verdict.error_stddev,
-            "drift_warning": verdict.drift_warning,
-            "n_errors": verdict.n_errors,
-        }
-    )
-    return payload
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     series = load_series(args.input)
     verdict = check_markov(series, p=args.p, rule=args.rule)
-    _emit(_verdict_payload(verdict))
+    print(json.dumps(verdict.to_dict(), indent=2))
     word = "Markov" if verdict.is_markov else "not Markov"
     print(f"verdict: series is {word} {_MODEL_NOTE}", file=sys.stderr)
     if verdict.drift_warning:
@@ -219,60 +196,49 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if verdict.is_markov else 1
 
 
-def _band_payload(b: ForecastBand) -> dict:
-    return {
-        "x0": b.x0,
-        "sigma": b.sigma,
-        "horizon": b.horizon,
-        "bands": [
-            {"k": int(k), "lower": float(lo), "upper": float(hi)}
-            for k, lo, hi in zip(b.steps(), b.lower, b.upper)
-        ],
-    }
+def _markov_band(
+    series: TimeSeries, args: argparse.Namespace, action: str, output: str, **check
+) -> ForecastBand | None:
+    """The band of ``series``, or None when its Markov check stops the command.
 
-
-def _refused(verdict: MarkovVerdict, force: bool, action: str, output: str) -> bool:
-    """Whether a non-Markov series stops the command; say why on stderr.
-
-    The reason names the quantity the rule compared: W against its
-    threshold, or the p-value of W against p.  With ``force`` the command
-    goes on under a warning.
+    ``check`` holds the ``p`` and ``rule`` of :func:`check_markov`.  A refusal
+    names on stderr what the rule compared: W against its threshold, or the
+    p-value of W against p.  ``--force`` goes on under a warning instead.
     """
-    if verdict.is_markov:
-        return False
-    if not force:
-        sw = verdict.sw
-        if sw.p_value is None:
-            compared = f"W={sw.w:.6g}, threshold={sw.threshold:.6g}"
-        else:
-            compared = f"p-value={sw.p_value:.6g}, p={sw.threshold:.6g}"
+    verdict = check_markov(series, **check)
+    if not verdict.is_markov:
+        if not args.force:
+            sw = verdict.sw
+            if sw.p_value is None:
+                compared = f"W={sw.w:.6g}, threshold={sw.threshold:.6g}"
+            else:
+                compared = f"p-value={sw.p_value:.6g}, p={sw.threshold:.6g}"
+            print(
+                f"refusing to {action}: series is not Markov {_MODEL_NOTE} "
+                f"({compared}); "
+                f"pass --force to emit the {output} anyway",
+                file=sys.stderr,
+            )
+            return None
         print(
-            f"refusing to {action}: series is not Markov {_MODEL_NOTE} "
-            f"({compared}); "
-            f"pass --force to emit the {output} anyway",
+            f"warning: series failed the Markov check {_MODEL_NOTE}; "
+            f"{output} emitted because --force was given",
             file=sys.stderr,
         )
-        return True
-    print(
-        f"warning: series failed the Markov check {_MODEL_NOTE}; "
-        f"{output} emitted because --force was given",
-        file=sys.stderr,
-    )
-    return False
+    return band(series, args.horizon, verdict)
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input)
-    verdict = check_markov(series, p=args.p, rule=args.rule)
-    if _refused(verdict, args.force, "forecast", "band"):
+    b = _markov_band(series, args, "forecast", "band", p=args.p, rule=args.rule)
+    if b is None:
         return 1
-    b = band(series, args.horizon, verdict)
     if args.format == "plot-csv":
         print("k,lower,x0,upper")
-        for k, lo, hi in zip(b.steps(), b.lower, b.upper):
-            print(f"{int(k)},{float(lo)!r},{float(b.x0)!r},{float(hi)!r}")
+        for row in step_rows(lower=b.lower, upper=b.upper):
+            print(f"{row['k']},{row['lower']!r},{b.x0!r},{row['upper']!r}")
     else:
-        _emit(_band_payload(b))
+        print(json.dumps(b.to_dict(), indent=2))
     return 0
 
 
@@ -281,19 +247,16 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     months = load_events(args.events)
     rates = load_rates(args.rates)
     summary = summarize_costs(months, rates)
-    verdict = check_markov(series)
-    if _refused(verdict, args.force, "cost the forecast", "costs"):
+    # the library's default rule; cost has no --p or --rule
+    b = _markov_band(series, args, "cost the forecast", "costs")
+    if b is None:
         return 1
-    b = band(series, args.horizon, verdict)
     cb = cost_band(b, summary)
     payload = {
         "adc": summary.adc,
         "asc": summary.asc,
         "per_interruption": summary.per_interruption,
-        "cost_bands": [
-            {"k": k, "lower": float(lo), "upper": float(hi)}
-            for k, (lo, hi) in enumerate(zip(cb.lower, cb.upper), start=1)
-        ],
+        "cost_bands": step_rows(lower=cb.lower, upper=cb.upper),
     }
     if args.sample is not None:
         mean, std = sample_cost_moments(
@@ -302,12 +265,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         payload["samples_summary"] = {
             "count": args.sample,
             "seed": args.seed,
-            "per_step": [
-                {"k": k, "mean": float(m), "stddev": float(s)}
-                for k, (m, s) in enumerate(zip(mean, std), start=1)
-            ],
+            "per_step": step_rows(mean=mean, stddev=std),
         }
-    _emit(payload)
+    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -348,7 +308,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,7 +28,14 @@ __all__ = [
     "band",
     "walk_in_place",
     "sample_paths",
+    "step_rows",
 ]
+
+
+def step_rows(**columns: np.ndarray) -> list[dict]:
+    """Rows ``{"k": k, name: column[k - 1], ...}`` for k = 1..h, in Python floats."""
+    steps = zip(*(column.tolist() for column in columns.values()))
+    return [{"k": k, **dict(zip(columns, row))} for k, row in enumerate(steps, 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +56,14 @@ class ForecastBand:
     def half_widths(self) -> np.ndarray:
         return self.upper - self.x0
 
-    def steps(self) -> np.ndarray:
-        return np.arange(1, self.horizon + 1)
+    def to_dict(self) -> dict:
+        """The ``forecast`` payload: anchor, scale, horizon and one row a step."""
+        return {
+            "x0": self.x0,
+            "sigma": self.sigma,
+            "horizon": self.horizon,
+            "bands": step_rows(lower=self.lower, upper=self.upper),
+        }
 
 
 def check_walk(x0: float, sigma: float, *counts: tuple[str, int, int]) -> None:

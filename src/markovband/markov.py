@@ -66,6 +66,21 @@ class MarkovVerdict:
         limit = DRIFT_SIGMAS * self.error_stddev / math.sqrt(self.n_errors)
         return abs(self.error_mean) > limit
 
+    def to_dict(self) -> dict:
+        """One series' ``check`` payload; ``p_value`` under the p-value rule only."""
+        p_value = {} if self.sw.p_value is None else {"p_value": self.sw.p_value}
+        return {
+            "is_markov": self.is_markov,
+            "w": self.sw.w,
+            "threshold": self.sw.threshold,
+            "rule": self.sw.rule,
+            **p_value,
+            "error_mean": self.error_mean,
+            "error_stddev": self.error_stddev,
+            "drift_warning": self.drift_warning,
+            "n_errors": self.n_errors,
+        }
+
 
 def check_markov(
     series: TimeSeries, p: float = 0.05, rule: str = RULE_PAPER_THRESHOLD

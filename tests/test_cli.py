@@ -54,6 +54,14 @@ def test_check_pvalue_rule_reports_pvalue(capsys):
     assert 0.0 <= payload["p_value"] <= 1.0
 
 
+@pytest.mark.parametrize("path", [WALK, SKEWED])
+@pytest.mark.parametrize("rule", mb.RULES)
+def test_check_prints_the_verdicts_payload(capsys, path, rule):
+    _, out, _ = run_cli(capsys, "check", "--input", path, "--rule", rule)
+    verdict = mb.check_markov(mb.load_series(path), rule=rule)
+    assert out == json.dumps(verdict.to_dict(), indent=2) + "\n"
+
+
 def test_check_rejects_the_skewed_fixture(capsys):
     code, out, err = run_cli(capsys, "check", "--input", SKEWED)
     payload = json.loads(out)
@@ -127,6 +135,15 @@ def test_forecast_emits_the_band(capsys):
     assert [row["k"] for row in payload["bands"]] == [1, 2, 3, 4, 5]
     assert [row["lower"] for row in payload["bands"]] == list(b.lower)
     assert [row["upper"] for row in payload["bands"]] == list(b.upper)
+
+
+@pytest.mark.parametrize("path, force", [(WALK, []), (SKEWED, ["--force"])])
+@pytest.mark.parametrize("rule", mb.RULES)
+def test_forecast_prints_the_bands_payload(capsys, path, force, rule):
+    _, out, _ = run_cli(capsys, "forecast", "--input", path, "--rule", rule, *force)
+    series = mb.load_series(path)
+    b = mb.band(series, 12, mb.check_markov(series, rule=rule))
+    assert out == json.dumps(b.to_dict(), indent=2) + "\n"
 
 
 def test_forecast_plot_csv_round_trips(capsys):
@@ -260,6 +277,13 @@ def test_cost_sample_needs_two_paths(capsys, tmp_path):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "a sample stddev needs at least two paths" in captured.err
+
+
+def test_cost_help_names_the_rule_its_check_uses(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "--help"])
+    assert exc.value.code == 0
+    assert "paper-threshold rule, p = 0.05" in capsys.readouterr().out
 
 
 def test_cost_refuses_non_markov_without_force(capsys):

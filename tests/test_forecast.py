@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovband.cost import CostSummary, sample_cost_moments
-from markovband.forecast import band, make_band, sample_paths
+from markovband.forecast import band, make_band, sample_paths, step_rows
 from markovband.rng import BLOCK_PATHS
 from markovband.markov import check_markov
 from markovband.series import difference
@@ -71,6 +71,22 @@ def test_band_arrays_are_frozen():
     b = make_band(1.0, 1.0, 3)
     with pytest.raises(ValueError):
         b.upper[0] = 99.0
+
+
+def test_step_rows_count_k_from_one_in_python_floats():
+    rows = step_rows(lower=np.array([1.0, 0.5]), upper=np.array([3.0, 3.5]))
+    assert rows == [{"k": 1, "lower": 1.0, "upper": 3.0},
+                    {"k": 2, "lower": 0.5, "upper": 3.5}]
+    assert [list(row) for row in rows] == [["k", "lower", "upper"]] * 2
+    assert all(type(value) in (int, float) for row in rows for value in row.values())
+
+
+def test_band_payload_rows_are_the_band_edges():
+    b = make_band(10.0, 2.0, 3)
+    payload = b.to_dict()
+    assert list(payload) == ["x0", "sigma", "horizon", "bands"]
+    assert payload["bands"] == step_rows(lower=b.lower, upper=b.upper)
+    assert [row["lower"] for row in payload["bands"]] == b.lower.tolist()
 
 
 def test_band_from_series_uses_last_value_and_the_verdicts_sigma():

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import markovband as mb
 from markovband.cli import main
+from markovband.swilk import RULES
 
 SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
 DATA = Path(__file__).parent / "data"
@@ -37,6 +39,16 @@ def test_check_pvalue_payload_validates(capsys):
     )
     Draft202012Validator(load_schema("check")).validate(payload)
     assert "p_value" in payload
+
+
+@pytest.mark.parametrize("name", ["gaussian_walk.csv", "skewed.csv"])
+@pytest.mark.parametrize("rule", RULES)
+def test_library_payloads_validate_without_the_cli(name, rule):
+    series = mb.load_series(DATA / name)
+    verdict = mb.check_markov(series, rule=rule)
+    Draft202012Validator(load_schema("check")).validate(verdict.to_dict())
+    forecast = mb.band(series, 6, verdict).to_dict()
+    Draft202012Validator(load_schema("forecast")).validate(forecast)
 
 
 def test_forecast_payload_validates(capsys):
