@@ -25,7 +25,7 @@ from .forecast import ForecastBand, band, step_rows
 from .markov import check_markov
 from .rng import DEFAULT_SEED
 from .series import TimeSeries, load_series
-from .simulate import run_calibration, t_coverage
+from .simulate import expected_acceptance, run_calibration, t_coverage
 from .swilk import RULE_PAPER_THRESHOLD, RULES
 
 __all__ = ["main", "build_parser"]
@@ -282,6 +282,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     print(report.to_json())
+    accept = expected_acceptance(args.length, args.p, args.rule)
+    print(
+        f"expected acceptance: {accept:.4f} of true walks of length {args.length} "
+        f"pass the {args.rule} rule at p = {args.p:g}",
+        file=sys.stderr,
+    )
     df = args.length - 2
     print(
         f"coverage is measured against +/- 1 sigma-hat bands {_MODEL_NOTE}; "

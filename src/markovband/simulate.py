@@ -27,9 +27,15 @@ from .forecast import check_walk, sample_paths, walk_in_place
 from .markov import check_rows
 from .rng import DEFAULT_SEED, stream_filler
 from .series import TimeSeries
-from .swilk import RULE_PAPER_THRESHOLD
+from .swilk import RULE_P_VALUE, RULE_PAPER_THRESHOLD, check_decision, sw_pvalue
 
-__all__ = ["SimulationReport", "generate_walk", "run_calibration", "t_coverage"]
+__all__ = [
+    "SimulationReport",
+    "expected_acceptance",
+    "generate_walk",
+    "run_calibration",
+    "t_coverage",
+]
 
 MIN_TRIALS = 100
 MIN_WALK_LENGTH = 10
@@ -95,7 +101,6 @@ def run_calibration(
     p: float = 0.05,
     rule: str = RULE_PAPER_THRESHOLD,
     seed: int = DEFAULT_SEED,
-    use_true_sigma: bool = False,
 ) -> SimulationReport:
     """Measure acceptance rate and band coverage on true random walks.
 
@@ -103,10 +108,9 @@ def run_calibration(
     ``substream(seed, t)`` and builds one walk from them: the first
     ``walk_length`` observations are the history, the rest the future.  The
     Markov check runs on the history; the band is centered on the last
-    history value with sigma-hat estimated from the history differences
-    (or the true sigma when ``use_true_sigma`` is set).  Per-trial
-    substreams make the report a pure function of its arguments and allow
-    trials to be recomputed independently.
+    history value with sigma-hat estimated from the history differences.
+    Per-trial substreams make the report a pure function of its arguments
+    and allow trials to be recomputed independently.
 
     Trials run as array code in blocks of :data:`BLOCK_BYTES` of walk
     matrix; the report is bitwise what one check per trial gives, and a
@@ -143,10 +147,10 @@ def run_calibration(
         sigma_hat = verdict.error_stddev
         for s in sigma_hat.tolist():  # sequential, in trial order
             sigma_hat_sum += s
-        band_sigma = sigma if use_true_sigma else sigma_hat[:, None]
         x_last = walks[:, walk_length - 1 : walk_length]
         covered += np.count_nonzero(
-            np.abs(walks[:, walk_length:] - x_last) <= root_k * band_sigma, axis=0
+            np.abs(walks[:, walk_length:] - x_last) <= root_k * sigma_hat[:, None],
+            axis=0,
         )
 
     sigma_hat_mean = sigma_hat_sum / trials
@@ -179,3 +183,18 @@ def t_coverage(df: int) -> float:
         total += term
         term *= c2 * (2 * j - 1) / (2 * j)
     return math.sin(theta) * total
+
+
+def expected_acceptance(walk_length: int, p: float, rule: str) -> float:
+    """The chance that the Markov check accepts a true walk of ``walk_length``.
+
+    Under ``p-value`` a walk passes when the p-value of W is >= p, which
+    happens with probability 1 - p.  Under ``paper-threshold`` it passes
+    when W >= 1 - 2p.  Royston's p-value of W is the normal-theory P(W' <= W)
+    at the walk's L - 1 differences, so that chance is
+    ``1 - sw_pvalue(1 - 2p, L - 1)``, as exact as his approximation.
+    """
+    check_decision(p, rule)
+    if rule == RULE_P_VALUE:
+        return 1.0 - p
+    return 1.0 - sw_pvalue(1.0 - 2.0 * p, walk_length - 1)

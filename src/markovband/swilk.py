@@ -230,6 +230,14 @@ def sw_pvalue(w: float | np.ndarray, n: int) -> float | np.ndarray:
     return p.reshape(shape) if shape else float(p[0])
 
 
+def check_decision(p: float, rule: str) -> None:
+    """Refuse a significance level outside (0, 0.5) or an unknown rule."""
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
+    if rule not in RULES:
+        raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
+
+
 def sw_decide(
     w: float | np.ndarray, n: int, p: float = 0.05, rule: str = RULE_PAPER_THRESHOLD
 ) -> SWResult:
@@ -240,15 +248,12 @@ def sw_decide(
     of W (say one per row from :func:`sw_statistic`) gives arrays of
     decisions and p-values, from one :func:`sw_pvalue` call on the array.
     """
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
+    check_decision(p, rule)
     if rule == RULE_PAPER_THRESHOLD:
         threshold = 1.0 - 2.0 * p
         return SWResult(
             w=w, n=n, threshold=threshold, rule=rule, normal=w >= threshold
         )
-    if rule != RULE_P_VALUE:
-        raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
     pv = sw_pvalue(w, n)
     return SWResult(w=w, n=n, threshold=p, rule=rule, normal=pv >= p, p_value=pv)
 

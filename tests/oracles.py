@@ -180,7 +180,6 @@ def reference_calibration(
     p: float,
     rule: str,
     seed: int,
-    use_true_sigma: bool = False,
 ) -> SimulationReport:
     """The calibration harness as one scalar Markov check per trial.
 
@@ -200,10 +199,10 @@ def reference_calibration(
         values[1:] = 0.0 + np.cumsum(noise)
         verdict = check_markov(TimeSeries(values=values[:walk_length]), p=p, rule=rule)
         accepted += verdict.is_markov
-        sigma_hat_sum += verdict.error_stddev
-        band_sigma = sigma if use_true_sigma else verdict.error_stddev
+        sigma_hat = verdict.error_stddev
+        sigma_hat_sum += sigma_hat
         x_last = values[walk_length - 1]
-        covered += np.abs(values[walk_length:] - x_last) <= root_k * band_sigma
+        covered += np.abs(values[walk_length:] - x_last) <= root_k * sigma_hat
     sigma_hat_mean = sigma_hat_sum / trials
     return SimulationReport(
         trials=trials,

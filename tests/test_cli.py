@@ -499,6 +499,16 @@ def test_simulate_matches_library_run(capsys):
     assert err.endswith("; P(|T_18| <= 1) = 0.6694 per step is the calibrated value\n")
 
 
+@pytest.mark.parametrize("rule, accept", [("paper-threshold", "0.7480"),
+                                          ("p-value", "0.9500")])
+def test_simulate_prints_the_expected_acceptance(capsys, rule, accept):
+    code, _, err = run_cli(capsys, "simulate", "--trials", "100", "--length", "10",
+                           "--rule", rule)
+    assert code == 0
+    assert err.splitlines()[-2] == (f"expected acceptance: {accept} of true walks "
+                                    f"of length 10 pass the {rule} rule at p = 0.05")
+
+
 def golden(name):
     """The cases of a golden file, and a note naming where they were recorded.
 
