@@ -128,11 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_forecast.set_defaults(func=_cmd_forecast)
 
     p_cost = sub.add_parser(
-        "cost",
-        help="convert the prediction band into interruption costs",
-        description="The Markov check runs at the paper-threshold rule, p = 0.05.",
+        "cost", help="convert the prediction band into interruption costs"
     )
     add_series(p_cost)
+    add_rule(p_cost)
     p_cost.add_argument(
         "--events", required=True, help="CSV file with monthly event counts"
     )
@@ -247,8 +246,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     months = load_events(args.events)
     rates = load_rates(args.rates)
     summary = summarize_costs(months, rates)
-    # the library's default rule; cost has no --p or --rule
-    b = _markov_band(series, args, "cost the forecast", "costs")
+    b = _markov_band(
+        series, args, "cost the forecast", "costs", p=args.p, rule=args.rule
+    )
     if b is None:
         return 1
     cb = cost_band(b, summary)

@@ -115,7 +115,7 @@ def check_rows(
                 f"{MIN_SAMPLE} to {MAX_SAMPLE} differences); the series has {length}"
             )
         errors, mean, variance = diff_rows(values)
-        if np.any(variance == 0.0):
+        if (variance == 0.0).any():
             raise zero_variance_error(errors)
         sw = sw_decide(sw_statistic(errors), length - 1, p=p, rule=rule)
     except ValueError:

@@ -69,8 +69,8 @@ def norm_cdf(x: float) -> float:
 
 
 def _each(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` (a scalar ``math`` function) applied to every element of ``a``."""
-    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    """``fn`` (a scalar ``math`` function) applied to each element of 1-D ``a``."""
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
 
 
 def norm_ppf(p: float | np.ndarray) -> float | np.ndarray:
@@ -89,11 +89,12 @@ def norm_ppf(p: float | np.ndarray) -> float | np.ndarray:
     ``norm_ppf(p) = -norm_ppf(1 - p)``; for p > 0.5 the subtraction 1 - p is
     exact in IEEE-754, so both halves see the well-conditioned branch.
     """
-    scalar = np.ndim(p) == 0
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    arr = np.asarray(p, dtype=float)
+    shape = arr.shape
+    arr = arr.ravel()
     inside = (_P_MIN <= arr) & (arr < 1.0)
     if not inside.all():
-        bad = p if scalar else arr[~inside][0].item()
+        bad = arr[~inside][0].item() if shape else p
         rule = (f"p >= {_P_MIN!r} (the smallest normal float)"
                 if 0.0 < bad < _P_MIN else "0 < p < 1")
         raise ValueError(f"norm_ppf requires {rule}, got {bad!r}")
@@ -119,4 +120,4 @@ def norm_ppf(p: float | np.ndarray) -> float | np.ndarray:
     u = e * _SQRT_2PI * _each(math.exp, 0.5 * x * x)
     x = x - u / (1.0 + 0.5 * x * u)
     x = np.where(upper, -x, x)
-    return float(x[0]) if scalar else x
+    return x.reshape(shape) if shape else float(x[0])

@@ -54,13 +54,14 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _freeze(np.atleast_1d(np.asarray(self.values, dtype=float)))
+        arr = np.array(self.values, dtype=float, ndmin=1)
         if arr.ndim != 1:
             raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("series must contain at least one observation")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("series values must be finite")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -101,7 +102,7 @@ def diff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     variance of finite values leaves the float64 range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = np.diff(values, axis=-1)
+        errors = values[..., 1:] - values[..., :-1]  # np.diff's own step
         count = errors.shape[-1]
         mean = np.add.reduce(errors, axis=-1, keepdims=True) / count
         squares = errors - mean
@@ -109,7 +110,7 @@ def diff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         variance = np.add.reduce(squares, axis=-1) / max(count - 1, 1)
     # A non-finite difference makes its row's mean, and so its variance,
     # non-finite too.
-    if not np.all(np.isfinite(variance)):
+    if not np.isfinite(variance).all():
         raise ValueError(
             "first differences overflow: a step of the series or their "
             "variance exceeds the float64 range; rescale the series"
@@ -151,7 +152,8 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 def read_text(source: Source) -> str:
     """Text of a path or open stream; bytes are UTF-8 with an optional BOM."""
     if isinstance(source, (str, Path)):
-        raw: Union[str, bytes] = Path(source).read_bytes()
+        with open(source, "rb") as fh:
+            raw: Union[str, bytes] = fh.read()
     else:
         raw = source.read()
     if isinstance(raw, bytes):
@@ -220,11 +222,11 @@ def _split_plain(text: str) -> tuple[list[str], np.ndarray] | None:
     # Byte counts: "\n" and "," never occur inside a multi-byte UTF-8
     # character, and a line has at least as many bytes as characters.
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-    edges = np.concatenate(([-1], np.flatnonzero(data == ord("\n")), [data.size]))
-    if (np.diff(edges) - 1).max() > csv.field_size_limit():
+    edges = np.concatenate(([-1], (data == ord("\n")).nonzero()[0], [data.size]))
+    if (edges[1:] - edges[:-1] - 1).max() > csv.field_size_limit():
         return None
-    commas = np.flatnonzero(data == ord(","))
-    widths = np.diff(np.searchsorted(commas, edges)) + 1
+    bounds = (data == ord(",")).nonzero()[0].searchsorted(edges)
+    widths = bounds[1:] - bounds[:-1] + 1
     return text.replace("\n", ",").split(","), widths
 
 

@@ -81,6 +81,14 @@ _POLY_LAST = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
 _POLY_SECOND = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
 
 
+def _polyval(coefficients: tuple[float, ...], u: float) -> float:
+    """Horner's rule from 0.0, highest degree first: ``np.polyval``'s steps."""
+    y = 0.0
+    for c in coefficients:
+        y = y * u + c
+    return y
+
+
 def _upper_half_weights(n: int) -> np.ndarray:
     """Unnormalized positive half of the weight vector, ascending."""
     if n == 3:
@@ -91,9 +99,9 @@ def _upper_half_weights(n: int) -> np.ndarray:
     msq = 2.0 * float(_row_dot(m_up, m_up))  # ||m||^2; the middle score of odd n is 0
     u = 1.0 / math.sqrt(n)
     rms = math.sqrt(msq)
-    a_last = np.polyval(_POLY_LAST, u) + m_up[-1] / rms
+    a_last = _polyval(_POLY_LAST, u) + m_up[-1] / rms
     if n > 5:
-        a_second = np.polyval(_POLY_SECOND, u) + m_up[-2] / rms
+        a_second = _polyval(_POLY_SECOND, u) + m_up[-2] / rms
         phi = (msq - 2.0 * m_up[-1] ** 2 - 2.0 * m_up[-2] ** 2) / (
             1.0 - 2.0 * a_last**2 - 2.0 * a_second**2
         )
@@ -158,14 +166,15 @@ def sw_statistic(sample: np.ndarray) -> float | np.ndarray:
     x.sort(axis=-1)
     n = x.shape[-1]
     _check_sample_size(n)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("sample values must be finite")
-    # Both sums are numpy's pairwise ones, as in _row_dot (no BLAS), over
-    # products made in place: the squared deviations, then the weighted
-    # sorted values in ``x``, which is this call's own copy.
-    centered = x - x.mean(axis=-1, keepdims=True)
+    # Every sum is numpy's pairwise one, as in _row_dot (no BLAS): the mean
+    # (the steps of ``x.mean``), then over products made in place, the
+    # squared deviations and the weighted sorted values in ``x``, which is
+    # this call's own copy.
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     ss = np.add.reduce(np.square(centered, out=centered), axis=-1)
-    if np.any(ss == 0.0):
+    if (ss == 0.0).any():
         raise InapplicableSampleError(
             "sample spread is zero (values all equal, or indistinguishable "
             "at float precision); the W statistic is undefined"
@@ -205,7 +214,8 @@ def sw_pvalue(w: float | np.ndarray, n: int) -> float | np.ndarray:
     else:
         # W = 1 (or a few ulp above) maps to y = -inf, a p-value of 1; only
         # W < 1 is transformed.
-        p = np.ones_like(arr)
+        p = np.empty_like(arr)
+        p.fill(1.0)
         live = arr < 1.0
         tail = _each(math.log1p, -arr[live])
         if n <= 11:

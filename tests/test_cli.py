@@ -103,9 +103,17 @@ def test_simulate_with_an_underflowing_sigma_exits_2(capsys):
 
 
 def test_check_missing_file_exits_2(capsys):
-    code, _, err = run_cli(capsys, "check", "--input", "does-not-exist.csv")
+    code, out, err = run_cli(capsys, "check", "--input", "does-not-exist.csv")
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: 'does-not-exist.csv'\n"
+
+
+def test_check_a_directory_exits_2_naming_it(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "--input", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_check_bad_significance_is_a_usage_error():
@@ -279,11 +287,37 @@ def test_cost_sample_needs_two_paths(capsys, tmp_path):
     assert "a sample stddev needs at least two paths" in captured.err
 
 
-def test_cost_help_names_the_rule_its_check_uses(capsys):
+def test_cost_help_names_the_rule_its_check_uses(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line an option
     with pytest.raises(SystemExit) as exc:
         main(["cost", "--help"])
     assert exc.value.code == 0
-    assert "paper-threshold rule, p = 0.05" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(0, 0.5) (default: 0.05)\n" in out
+    assert "or the p-value against p (default: paper-threshold)\n" in out
+
+
+# Ten points whose differences fail W >= 0.9 (W = 0.8873) but whose p-value
+# (0.187) passes p = 0.05: the two rules split this series.
+SPLIT_SERIES = (
+    "496.802934\n504.486087\n512.234826\n502.321936\n491.010017\n"
+    "469.458562\n463.579737\n471.982448\n456.777431\n433.472124\n"
+)
+
+
+@pytest.mark.parametrize(
+    "rule, code", [("p-value", 0), ("paper-threshold", 1)]
+)
+def test_check_forecast_and_cost_apply_the_same_rule(capsys, tmp_path, rule, code):
+    series = tmp_path / "split.csv"
+    series.write_text(SPLIT_SERIES)
+    inputs = ["--input", str(series), "--rule", rule]
+    costs = ["--events", EVENTS, "--rates", RATES]
+    for command in (["check"], ["forecast"], ["cost", *costs]):
+        got, out, err = run_cli(capsys, *command, *inputs)
+        assert got == code, (command, err)
+        printed = code == 0 or command[0] == "check"  # a verdict prints either way
+        assert (out != "") == printed
 
 
 def test_cost_refuses_non_markov_without_force(capsys):

@@ -1,13 +1,20 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markovband.markov import MIN_CHECK_LENGTH, check_markov, check_rows
 from markovband.rng import substream
-from markovband.series import DegenerateSeriesError, TimeSeries, difference
+from markovband.series import (
+    DegenerateSeriesError,
+    TimeSeries,
+    difference,
+    load_series,
+)
 from markovband.simulate import generate_walk
-from markovband.swilk import RULE_P_VALUE, RULE_PAPER_THRESHOLD
+from markovband.swilk import RULE_P_VALUE, RULE_PAPER_THRESHOLD, sw_coefficients
 
 
 def test_true_random_walk_is_accepted():
@@ -165,3 +172,45 @@ def test_check_rows_refuses_a_block_like_its_first_refused_row():
     rows[1, 4] = np.nan
     with pytest.raises(ValueError, match="series values must be finite"):
         check_rows(rows)
+
+
+# Python-level wrappers (numpy's, and pathlib's read_bytes) whose ufunc,
+# method or ``open`` call the one-series path makes instead, as (module
+# basename, function name), under numpy's 1.x and 2.x module names.
+WRAPPERS = {
+    ("function_base", "diff"),
+    ("_function_base_impl", "diff"),
+    ("numeric", "flatnonzero"),
+    ("numeric", "ones_like"),
+    ("polynomial", "polyval"),
+    ("_polynomial_impl", "polyval"),
+    ("_methods", "_mean"),
+    ("fromnumeric", "all"),
+    ("fromnumeric", "any"),
+    ("fromnumeric", "searchsorted"),
+    ("fromnumeric", "ndim"),
+    ("shape_base", "atleast_1d"),
+    ("pathlib", "read_bytes"),
+}
+
+
+@pytest.mark.parametrize("rule", [RULE_PAPER_THRESHOLD, RULE_P_VALUE])
+def test_one_series_check_enters_no_numpy_wrapper(tmp_path, rule):
+    path = tmp_path / "walk.csv"
+    walk = generate_walk(100.0, 2.0, 224, seed=5)
+    path.write_text("".join(f"{v!r}\n" for v in walk.values.tolist()))
+    sw_coefficients.cache_clear()  # the cold weights run too
+    entered = set()
+
+    def record(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((Path(code.co_filename).stem, code.co_name))
+
+    sys.setprofile(record)
+    try:
+        check_markov(load_series(path), rule=rule)
+    finally:
+        sys.setprofile(None)
+    assert {("series", "_split_plain"), ("swilk", "_upper_half_weights")} <= entered
+    assert entered & WRAPPERS == set()
