@@ -243,21 +243,13 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     series = load_series(args.input)
-    months = load_events(args.events)
-    rates = load_rates(args.rates)
-    summary = summarize_costs(months, rates)
+    summary = summarize_costs(load_events(args.events), load_rates(args.rates))
     b = _markov_band(
         series, args, "cost the forecast", "costs", p=args.p, rule=args.rule
     )
     if b is None:
         return 1
-    cb = cost_band(b, summary)
-    payload = {
-        "adc": summary.adc,
-        "asc": summary.asc,
-        "per_interruption": summary.per_interruption,
-        "cost_bands": step_rows(lower=cb.lower, upper=cb.upper),
-    }
+    payload = cost_band(b, summary).to_dict()
     if args.sample is not None:
         mean, std = sample_cost_moments(
             b.x0, b.sigma, b.horizon, summary, args.sample, args.seed

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forecast import ForecastBand, check_walk, sample_paths
+from .forecast import ForecastBand, check_walk, sample_paths, step_rows
 from .rng import BLOCK_PATHS, stream_filler
 from .series import Source, read_csv, read_text
 
@@ -92,11 +92,20 @@ class MonthlyEvents:
 
 @dataclass(frozen=True)
 class CostSummary:
-    """ADC and ASC averaged over the months that produced them."""
+    """ADC and ASC averaged over the months that produced them; their sum is finite."""
 
     adc: float
     asc: float
     months: int
+
+    def __post_init__(self) -> None:
+        if not (self.adc >= 0.0 and self.asc >= 0.0):
+            raise ValueError(f"ADC {self.adc!r} and ASC {self.asc!r} must be >= 0")
+        if not math.isfinite(self.adc + self.asc):
+            raise ValueError(
+                f"the per-interruption cost ADC + ASC = {self.adc!r} + {self.asc!r} "
+                "exceeds the float64 range; rescale the rates"
+            )
 
     @property
     def per_interruption(self) -> float:
@@ -106,7 +115,8 @@ class CostSummary:
 
 def summarize_costs(months: Sequence[MonthlyEvents], rates: CostRates) -> CostSummary:
     """ADC and ASC from one pass over the months, each checked as it comes."""
-    if len(months) == 0:
+    n = len(months)
+    if n == 0:
         raise ValueError("need at least one month of event counts")
     direct_total = 0.0
     spare_total = 0.0
@@ -129,27 +139,30 @@ def summarize_costs(months: Sequence[MonthlyEvents], rates: CostRates) -> CostSu
             raise ValueError(
                 f"month {i} has event counts beyond the float64 range"
             ) from None
-    return CostSummary(
-        adc=direct_total / len(months),
-        asc=spare_total / len(months),
-        months=len(months),
-    )
+    return CostSummary(adc=direct_total / n, asc=spare_total / n, months=n)
 
 
 @dataclass(frozen=True, eq=False)
 class CostBand:
-    """A prediction band converted to dollars.
+    """A prediction band converted to dollars: the result of ``cost``.
 
     ``lower[k-1]``/``upper[k-1]`` bound the step-k interruption cost; they
-    are the count-band edges times ``per_interruption``, so ordering is
-    preserved and a zero rate collapses the band to zero.
+    are the count-band edges times ``summary.per_interruption``, so ordering
+    is preserved and a zero rate collapses the band to zero.
     """
 
-    horizon: int
-    per_interruption: float
-    center: float
+    summary: CostSummary
     lower: np.ndarray
     upper: np.ndarray
+
+    def to_dict(self) -> dict:
+        """The ``cost`` payload: ADC, ASC, their sum and one row a step."""
+        return {
+            "adc": self.summary.adc,
+            "asc": self.summary.asc,
+            "per_interruption": self.summary.per_interruption,
+            "cost_bands": step_rows(lower=self.lower, upper=self.upper),
+        }
 
 
 def cost_band(band: ForecastBand, summary: CostSummary) -> CostBand:
@@ -159,21 +172,13 @@ def cost_band(band: ForecastBand, summary: CostSummary) -> CostBand:
     ValueError.
     """
     rate = summary.per_interruption
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError(f"per-interruption cost must be finite and >= 0, got {rate!r}")
     with np.errstate(over="ignore"):
         lower = band.lower * rate
         upper = band.upper * rate
     _check_dollars("the cost band edges", rate, lower, upper)
     lower.setflags(write=False)
     upper.setflags(write=False)
-    return CostBand(
-        horizon=band.horizon,
-        per_interruption=rate,
-        center=band.x0 * rate,
-        lower=lower,
-        upper=upper,
-    )
+    return CostBand(summary=summary, lower=lower, upper=upper)
 
 
 def _check_dollars(what: str, rate: float, *values: np.ndarray) -> None:

@@ -10,6 +10,7 @@ import pytest
 import markovband as mb
 from markovband import cli
 from markovband.cli import main
+from markovband.forecast import step_rows
 
 DATA = Path(__file__).parent / "data"
 WALK = str(DATA / "gaussian_walk.csv")
@@ -276,6 +277,32 @@ def test_cost_sampling_summary(capsys, tmp_path):
     assert sampled["per_step"][2]["stddev"] == costs.std(axis=0, ddof=1)[2]
 
 
+@pytest.mark.parametrize(
+    "path, force", [(WALK, []), (SKEWED, ["--force"])], ids=["walk", "skewed-force"]
+)
+@pytest.mark.parametrize("rule", mb.RULES)
+@pytest.mark.parametrize("sample", [[], ["--sample", "400"]], ids=["plain", "sample"])
+def test_cost_prints_the_cost_bands_payload(capsys, path, force, rule, sample):
+    _, out, _ = run_cli(
+        capsys, "cost", "--input", path, "--events", EVENTS, "--rates", RATES,
+        "--rule", rule, *force, *sample,
+    )
+    series = mb.load_series(path)
+    b = mb.band(series, 12, mb.check_markov(series, rule=rule))
+    summary = mb.summarize_costs(mb.load_events(EVENTS), mb.load_rates(RATES))
+    payload = mb.cost_band(b, summary).to_dict()
+    if sample:
+        mean, std = mb.sample_cost_moments(
+            b.x0, b.sigma, 12, summary, 400, mb.DEFAULT_SEED
+        )
+        payload["samples_summary"] = {
+            "count": 400,
+            "seed": mb.DEFAULT_SEED,
+            "per_step": step_rows(mean=mean, stddev=std),
+        }
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_cost_sample_needs_two_paths(capsys, tmp_path):
     series, events, rates = write_micro_fixtures(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -458,6 +485,32 @@ def test_cost_event_count_beyond_float64_exits_2_with_one_error_line(tmp_path):
     assert proc.stdout == ""
     assert only_error_line(proc.stderr), proc.stderr
     assert "month 2 has event counts beyond the float64 range" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "rates, events",
+    [
+        ("delay=1e308\nspare=0\n", "1,0,0,0,0\n1,0,0,0,0\n"),  # ADC overflows
+        ("delay=1e308\nspare=1e308\n", "1,0,0,0,1\n"),  # ADC + ASC overflows
+    ],
+    ids=["adc", "adc+asc"],
+)
+def test_cost_summary_beyond_float64_exits_2_with_one_error_line(
+    tmp_path, rates, events
+):
+    series, events_file, rates_file = write_micro_fixtures(tmp_path)
+    header = "delays,cancellations,diversions,air_turnbacks,spares\n"
+    events_file.write_text(header + events)
+    rates_file.write_text("cancellation=0\ndiversion=0\nair_turnback=0\n" + rates)
+    proc = run_module(
+        "cost", "--input", str(series), "--events", str(events_file),
+        "--rates", str(rates_file),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert only_error_line(proc.stderr), proc.stderr
+    assert "per-interruption cost" in proc.stderr
+    assert "exceeds the float64 range; rescale the rates" in proc.stderr
 
 
 @pytest.mark.parametrize("command", [["check"], ["forecast", "--force"]])

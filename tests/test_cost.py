@@ -127,11 +127,26 @@ def test_worked_example_cost_band():
     b = make_band(10.0, 2.0, 4)
     summary = summarize_costs([WORKED_MONTH], WORKED_RATES)
     cb = cost_band(b, summary)
-    assert cb.per_interruption == 26_250.0
+    assert [f.name for f in dataclasses.fields(cb)] == ["summary", "lower", "upper"]
+    assert cb.summary.per_interruption == 26_250.0
+    assert len(cb.lower) == 4
     assert cb.lower[0] == 210_000.0
     assert cb.upper[0] == 315_000.0
-    assert cb.center == 262_500.0
-    assert cb.horizon == 4
+    assert cb.to_dict()["per_interruption"] == 26_250.0
+
+
+def test_cost_band_payload_is_the_summary_and_one_row_a_step():
+    b = make_band(-3.0, 1.7, 3)
+    summary = CostSummary(adc=123.0, asc=45.5, months=3)
+    cb = cost_band(b, summary)
+    payload = cb.to_dict()
+    assert list(payload) == ["adc", "asc", "per_interruption", "cost_bands"]
+    assert payload["adc"] == 123.0 and payload["asc"] == 45.5
+    assert payload["per_interruption"] == 168.5
+    assert payload["cost_bands"] == [
+        {"k": k, "lower": lo, "upper": hi}
+        for k, (lo, hi) in enumerate(zip(cb.lower.tolist(), cb.upper.tolist()), 1)
+    ]
 
 
 def test_cost_band_scales_edges_bitwise():
@@ -560,6 +575,48 @@ def test_event_counts_beyond_float64_are_refused_naming_the_month(counts):
         ValueError, match="^month 2 has event counts beyond the float64 range$"
     ):
         summarize_costs(months, WORKED_RATES)
+
+
+BEYOND = "exceeds the float64 range; rescale the rates$"
+
+
+@pytest.mark.parametrize(
+    "months, rates",
+    [
+        # the month averages add up past float64: ADC is inf
+        ([MonthlyEvents(delays=1, cancellations=0, diversions=0,
+                        air_turnbacks=0, spares=0)] * 2,
+         dataclasses.replace(WORKED_RATES, delay=1e308)),
+        # ADC and ASC fit, their sum does not
+        ([MonthlyEvents(delays=1, cancellations=0, diversions=0,
+                        air_turnbacks=0, spares=1)],
+         dataclasses.replace(WORKED_RATES, delay=1e308, spare=1e308)),
+    ],
+    ids=["adc", "adc+asc"],
+)
+def test_summary_beyond_float64_is_refused_asking_to_rescale(months, rates):
+    with pytest.raises(
+        ValueError,
+        match="^the per-interruption cost ADC \\+ ASC = .* " + BEYOND,
+    ):
+        summarize_costs(months, rates)
+
+
+@pytest.mark.parametrize(
+    "adc, asc, message",
+    [
+        (math.inf, 0.0, BEYOND),
+        (0.0, math.inf, BEYOND),
+        (1e308, 1e308, BEYOND),
+        (-1.0, 0.0, "^ADC -1.0 and ASC 0.0 must be >= 0$"),
+        (0.0, math.nan, "^ADC 0.0 and ASC nan must be >= 0$"),
+    ],
+    ids=["adc-inf", "asc-inf", "sum-inf", "negative", "nan"],
+)
+def test_cost_summary_refuses_costs_below_zero_or_beyond_float64(adc, asc, message):
+    with pytest.raises(ValueError, match=message):
+        CostSummary(adc=adc, asc=asc, months=1)
+    CostSummary(adc=1e308, asc=7e307, months=1)  # the largest sums still fit
 
 
 def test_load_events_skips_a_utf8_bom():

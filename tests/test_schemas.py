@@ -47,8 +47,13 @@ def test_library_payloads_validate_without_the_cli(name, rule):
     series = mb.load_series(DATA / name)
     verdict = mb.check_markov(series, rule=rule)
     Draft202012Validator(load_schema("check")).validate(verdict.to_dict())
-    forecast = mb.band(series, 6, verdict).to_dict()
-    Draft202012Validator(load_schema("forecast")).validate(forecast)
+    b = mb.band(series, 6, verdict)
+    Draft202012Validator(load_schema("forecast")).validate(b.to_dict())
+    summary = mb.summarize_costs(
+        mb.load_events(DATA / "events.csv"), mb.load_rates(DATA / "rates.cfg")
+    )
+    cost = mb.cost_band(b, summary).to_dict()
+    Draft202012Validator(load_schema("cost")).validate(cost)
 
 
 def test_forecast_payload_validates(capsys):
