@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, TypeVar
 
 from .cost import (
     cost_band,
@@ -21,41 +22,49 @@ from .cost import (
     sample_cost_moments,
     summarize_costs,
 )
-from .forecast import ForecastBand, band, step_rows
+from .forecast import ForecastBand, band, check_count, step_rows
 from .markov import check_markov
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, check_seed
 from .series import TimeSeries, load_series
-from .simulate import expected_acceptance, run_calibration, t_coverage
-from .swilk import RULE_PAPER_THRESHOLD, RULES
+from .simulate import (
+    MIN_TRIALS,
+    MIN_WALK_LENGTH,
+    check_true_sigma,
+    expected_acceptance,
+    run_calibration,
+    t_coverage,
+)
+from .swilk import RULE_PAPER_THRESHOLD, RULES, check_significance
 
 __all__ = ["main", "build_parser"]
 
 _MODEL_NOTE = "with respect to the additive Gaussian white-noise model"
 
 
-def _significance(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 0.5:
-        raise argparse.ArgumentTypeError(
-            f"significance level must satisfy 0 < p < 0.5, got {text}"
-        )
-    return value
+T = TypeVar("T")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _checked(
+    convert: Callable[[str], T], check: Callable[[T], None]
+) -> Callable[[str], T]:
+    """An argparse ``type``: ``convert`` the text, then run a library validator.
 
+    The validator's ValueError becomes a usage error in its own words, so a
+    limit fails at parse time as ``argument --opt: <the library's message>``.
+    Text that ``convert`` cannot read keeps argparse's ``invalid int value``,
+    because the adapter carries ``convert``'s name.
+    """
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            f"a sample stddev needs at least two paths, got {text}"
-        )
-    return value
+    def parse(text: str) -> T:
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_rule(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--p",
-            type=_significance,
+            type=_checked(float, check_significance),
             default=0.05,
             help="significance level in (0, 0.5) (default: 0.05)",
         )
@@ -93,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_horizon(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--horizon",
-            type=_positive_int,
+            type=_checked(int, lambda k: check_count("horizon", k, 1)),
             default=12,
             help="steps ahead (default: 12)",
         )
@@ -141,14 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_horizon(p_cost)
     p_cost.add_argument(
         "--sample",
-        type=_sample_count,
+        type=_checked(int, lambda n: check_count("count", n, 2)),
         default=None,
         metavar="N",
         help="also simulate N >= 2 cost paths and report per-step mean/stddev",
     )
     p_cost.add_argument(
         "--seed",
-        type=int,
+        type=_checked(int, check_seed),
         default=DEFAULT_SEED,
         help=f"seed for --sample (default: {DEFAULT_SEED})",
     )
@@ -160,21 +169,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="calibration run: acceptance rate and band coverage on true walks",
     )
     p_sim.add_argument(
-        "--trials", type=_positive_int, default=2000, help="walks (default: 2000)"
+        "--trials",
+        type=_checked(int, lambda n: check_count("trials", n, MIN_TRIALS)),
+        default=2000,
+        help="walks (default: 2000)",
     )
     p_sim.add_argument(
         "--length",
-        type=_positive_int,
+        type=_checked(
+            int, lambda n: check_count("walk_length", n, MIN_WALK_LENGTH)
+        ),
         default=50,
         help="observations per walk (default: 50)",
     )
     p_sim.add_argument(
-        "--sigma", type=float, default=1.0, help="true noise scale (default: 1.0)"
+        "--sigma",
+        type=_checked(float, check_true_sigma),
+        default=1.0,
+        help="true noise scale (default: 1.0)",
     )
     add_horizon(p_sim)
     add_rule(p_sim)
     p_sim.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"default: {DEFAULT_SEED}"
+        "--seed",
+        type=_checked(int, check_seed),
+        default=DEFAULT_SEED,
+        help=f"default: {DEFAULT_SEED}",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -196,15 +216,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _markov_band(
-    series: TimeSeries, args: argparse.Namespace, action: str, output: str, **check
+    series: TimeSeries, args: argparse.Namespace, action: str, output: str
 ) -> ForecastBand | None:
     """The band of ``series``, or None when its Markov check stops the command.
 
-    ``check`` holds the ``p`` and ``rule`` of :func:`check_markov`.  A refusal
-    names on stderr what the rule compared: W against its threshold, or the
-    p-value of W against p.  ``--force`` goes on under a warning instead.
+    The check takes ``--p`` and ``--rule``.  A refusal names on stderr what
+    the rule compared: W against its threshold, or the p-value of W against
+    p.  ``--force`` goes on under a warning instead.
     """
-    verdict = check_markov(series, **check)
+    verdict = check_markov(series, p=args.p, rule=args.rule)
     if not verdict.is_markov:
         if not args.force:
             sw = verdict.sw
@@ -229,7 +249,7 @@ def _markov_band(
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
     series = load_series(args.input)
-    b = _markov_band(series, args, "forecast", "band", p=args.p, rule=args.rule)
+    b = _markov_band(series, args, "forecast", "band")
     if b is None:
         return 1
     if args.format == "plot-csv":
@@ -244,9 +264,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     series = load_series(args.input)
     summary = summarize_costs(load_events(args.events), load_rates(args.rates))
-    b = _markov_band(
-        series, args, "cost the forecast", "costs", p=args.p, rule=args.rule
-    )
+    b = _markov_band(series, args, "cost the forecast", "costs")
     if b is None:
         return 1
     payload = cost_band(b, summary).to_dict()

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ForecastBand",
+    "check_count",
     "check_walk",
     "make_band",
     "band",
@@ -66,20 +67,25 @@ class ForecastBand:
         }
 
 
+def check_count(name: str, value: int, least: int) -> None:
+    """Refuse a count ``value`` below ``least``, naming it ``name``."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def check_walk(x0: float, sigma: float, *counts: tuple[str, int, int]) -> None:
     """Validate the parameters of a random walk from x0 with step scale sigma.
 
     x0 must be finite and sigma finite and non-negative; each
-    ``(name, value, least)`` in ``counts`` requires ``value >= least``.
+    ``(name, value, least)`` in ``counts`` goes to :func:`check_count`.
     Raises ValueError naming the first parameter that fails.
     """
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    for name, value, least in counts:
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    for count in counts:
+        check_count(*count)
 
 
 def make_band(x0: float, sigma: float, horizon: int) -> ForecastBand:

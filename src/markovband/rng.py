@@ -28,10 +28,15 @@ DEFAULT_SEED = 1729
 BLOCK_PATHS = 1 << 16
 
 
-def substream(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream), reproducible by value."""
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside the uint64 range that keys a substream."""
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def substream(seed: int, stream: int) -> np.random.Generator:
+    """Independent generator for (seed, stream), reproducible by value."""
+    check_seed(seed)
     if not 0 <= int(stream) < 2**64:
         raise ValueError(f"stream must be an integer in [0, 2**64), got {stream!r}")
     key = np.array([seed, stream], dtype=np.uint64)

@@ -78,6 +78,13 @@ class SimulationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def check_true_sigma(sigma: float) -> None:
+    """Refuse a true noise scale that is not finite and > 0."""
+    check_walk(0.0, sigma)
+    if sigma == 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+
+
 def generate_walk(x0: float, sigma: float, length: int, seed: int) -> TimeSeries:
     """A Gaussian random walk of ``length`` observations starting at x0.
 
@@ -123,8 +130,8 @@ def run_calibration(
         ("walk_length", walk_length, MIN_WALK_LENGTH),
         ("horizon", horizon, 1),
     )
-    if sigma == 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    # A sigma below zero is refused before the counts, a zero one after them.
+    check_true_sigma(sigma)
 
     width = walk_length + horizon
     block = max(1, BLOCK_BYTES // (8 * width))

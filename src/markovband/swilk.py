@@ -240,10 +240,15 @@ def sw_pvalue(w: float | np.ndarray, n: int) -> float | np.ndarray:
     return p.reshape(shape) if shape else float(p[0])
 
 
-def check_decision(p: float, rule: str) -> None:
-    """Refuse a significance level outside (0, 0.5) or an unknown rule."""
+def check_significance(p: float) -> None:
+    """Refuse a significance level outside (0, 0.5)."""
     if not 0.0 < p < 0.5:
         raise ValueError(f"significance level must satisfy 0 < p < 0.5, got {p!r}")
+
+
+def check_decision(p: float, rule: str) -> None:
+    """Refuse a significance level outside (0, 0.5) or an unknown rule."""
+    check_significance(p)
     if rule not in RULES:
         raise ValueError(f"unknown decision rule {rule!r}; expected one of {RULES}")
 

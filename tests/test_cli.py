@@ -1,3 +1,4 @@
+import functools
 import json
 import platform
 import subprocess
@@ -55,7 +56,7 @@ def test_check_pvalue_rule_reports_pvalue(capsys):
     assert 0.0 <= payload["p_value"] <= 1.0
 
 
-@pytest.mark.parametrize("path", [WALK, SKEWED])
+@pytest.mark.parametrize("path", [WALK, SKEWED], ids=["walk", "skewed"])
 @pytest.mark.parametrize("rule", mb.RULES)
 def test_check_prints_the_verdicts_payload(capsys, path, rule):
     _, out, _ = run_cli(capsys, "check", "--input", path, "--rule", rule)
@@ -146,7 +147,9 @@ def test_forecast_emits_the_band(capsys):
     assert [row["upper"] for row in payload["bands"]] == list(b.upper)
 
 
-@pytest.mark.parametrize("path, force", [(WALK, []), (SKEWED, ["--force"])])
+@pytest.mark.parametrize(
+    "path, force", [(WALK, []), (SKEWED, ["--force"])], ids=["walk", "skewed-force"]
+)
 @pytest.mark.parametrize("rule", mb.RULES)
 def test_forecast_prints_the_bands_payload(capsys, path, force, rule):
     _, out, _ = run_cli(capsys, "forecast", "--input", path, "--rule", rule, *force)
@@ -311,7 +314,7 @@ def test_cost_sample_needs_two_paths(capsys, tmp_path):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "a sample stddev needs at least two paths" in captured.err
+    assert captured.err.endswith("argument --sample: count must be >= 2, got 1\n")
 
 
 def test_cost_help_names_the_rule_its_check_uses(capsys, monkeypatch):
@@ -651,9 +654,89 @@ def test_cli_output_is_the_golden_bytes(capsys, monkeypatch, case):
 
 
 def test_simulate_bad_trials_exits_2(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--trials", "50")
-    assert code == 2
-    assert "trials" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--trials", "50"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --trials: trials must be >= 100, got 50\n"
+    )
+
+
+# ------------------------------------------------------------ option limits
+
+COMMAND_ARGV = {
+    "check": ["check", "--input", WALK],
+    "forecast": ["forecast", "--input", WALK],
+    "cost": ["cost", "--input", WALK, "--events", EVENTS, "--rates", RATES],
+    "simulate": ["simulate"],
+}
+
+
+def _sample_moments(count):
+    summary = mb.summarize_costs(mb.load_events(EVENTS), mb.load_rates(RATES))
+    return mb.sample_cost_moments(0.0, 1.0, 1, summary, count, 0)
+
+
+# Each typed option: the commands that take it, its converter, a library call
+# that refuses a bad value, texts at its limit and texts past it.
+OPTION_LIMITS = [
+    ("--p", ("check", "forecast", "cost", "simulate"), float,
+     lambda p: mb.sw_decide(0.95, 10, p=p), ["0.4999"], ["0.5", "0"]),
+    ("--horizon", ("forecast", "cost", "simulate"), int,
+     lambda k: mb.make_band(0.0, 1.0, k), ["1"], ["0"]),
+    ("--sample", ("cost",), int, _sample_moments, ["2"], ["1"]),
+    ("--seed", ("cost", "simulate"), int, lambda seed: mb.substream(seed, 0),
+     ["0", str(2**64 - 1)], ["-1", str(2**64)]),
+    ("--trials", ("simulate",), int,
+     lambda n: mb.run_calibration(trials=n), ["100"], ["99"]),
+    ("--length", ("simulate",), int,
+     lambda n: mb.run_calibration(walk_length=n), ["10"], ["9"]),
+    ("--sigma", ("simulate",), float,
+     lambda sigma: mb.run_calibration(sigma=sigma), ["0.5"],
+     ["0", "-1", "nan", "inf"]),
+]
+
+
+def refusal(call, value):
+    """``str()`` of the ValueError that ``call(value)`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    return str(exc.value)
+
+
+def _limit_cases():
+    # want: the exit code at the limit, or the library's words past it
+    for option, commands, convert, refuse, at, past in OPTION_LIMITS:
+        bad_text = "abc" if convert is float else "x"
+        cases = [(text, 0) for text in at]
+        cases += [(text, functools.partial(refusal, refuse, convert(text)))
+                  for text in past]
+        cases.append((bad_text, f"invalid {convert.__name__} value: {bad_text!r}"))
+        for command in commands:
+            for text, want in cases:
+                yield pytest.param(
+                    command, option, text, want, id=f"{command} {option} {text}"
+                )
+
+
+@pytest.mark.parametrize("command, option, text, want", _limit_cases())
+def test_each_option_limit_is_a_usage_error_in_the_librarys_words(
+    capsys, command, option, text, want
+):
+    argv = [*COMMAND_ARGV[command], option, text]
+    if want == 0:
+        assert run_cli(capsys, *argv)[0] == 0
+        return
+    message = want if isinstance(want, str) else want()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"markovband {command}: error: argument {option}: {message}"
+    )
 
 
 def test_cli_runs_as_a_module():
@@ -733,6 +816,7 @@ def test_in_process_calls_match_fresh_processes(capsys):
         (EVENTS, ["--sample", "100", "--horizon", "2"], "sampled costs"),
         (None, [], "cost band edges"),
     ],
+    ids=["walk-sample", "events-sample", "band-edges"],
 )
 def test_cost_overflow_exits_2_with_one_error_line(tmp_path, series, extra, what):
     rates = tmp_path / "rates.cfg"
