@@ -24,6 +24,9 @@ WALK_SIGMA = 2.0
 SKEW_LENGTH = 60
 SKEW_SCALE = 2.0
 
+DRIFT_LENGTH = 60
+DRIFT_STEP = 0.8  # mean step, in units of WALK_SIGMA
+
 
 def write(name: str, text: str) -> Path:
     path = DATA_DIR / name
@@ -47,6 +50,16 @@ def main() -> None:
     values = np.concatenate([[WALK_X0], WALK_X0 + np.cumsum(steps)])
     skew_path = write(
         "skewed.csv", "\n".join(repr(float(v)) for v in values) + "\n"
+    )
+
+    # A walk that drifts: Gaussian steps of mean 0.8 sigma, single column,
+    # no header.  Its differences are normal, so it passes the check, but
+    # its mean step is about six standard errors from zero.
+    noise = substream(WALK_SEED, 3).standard_normal(DRIFT_LENGTH - 1)
+    steps = WALK_SIGMA * (DRIFT_STEP + noise)
+    values = np.concatenate([[WALK_X0], WALK_X0 + np.cumsum(steps)])
+    drift_path = write(
+        "drift_walk.csv", "\n".join(repr(float(v)) for v in values) + "\n"
     )
 
     # A pure ramp: zero-variance differences, the degenerate refusal case.
@@ -77,12 +90,17 @@ def main() -> None:
         + "\n",
     )
 
-    # Sanity: the walk passes the check, the skewed series fails it.
+    # Sanity: the walk passes the check, the skewed series fails it, and
+    # the drifting walk passes it under a drift warning.
     v = check_markov(load_series(walk_path))
     s = check_markov(load_series(skew_path))
+    d = check_markov(load_series(drift_path))
     print(f"gaussian walk: is_markov={v.is_markov} W={v.sw.w:.4f}")
     print(f"skewed:        is_markov={s.is_markov} W={s.sw.w:.4f}")
+    print(f"drifting walk: is_markov={d.is_markov} W={d.sw.w:.4f} "
+          f"drift_warning={d.drift_warning}")
     assert v.is_markov and not s.is_markov
+    assert d.is_markov and d.drift_warning
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .swilk import RULE_PAPER_THRESHOLD, RULES, check_significance
 __all__ = ["main", "build_parser"]
 
 _MODEL_NOTE = "with respect to the additive Gaussian white-noise model"
+_DRIFT_WARNING = "warning: mean step is far from zero; bands assume driftless noise"
 
 
 T = TypeVar("T")
@@ -107,6 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="steps ahead (default: 12)",
         )
 
+    def add_seed(p: argparse.ArgumentParser, help: str) -> None:
+        p.add_argument(
+            "--seed",
+            type=_checked(int, check_seed),
+            default=DEFAULT_SEED,
+            help=help,
+        )
+
     def add_force(p: argparse.ArgumentParser, output: str) -> None:
         p.add_argument(
             "--force",
@@ -155,12 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="also simulate N >= 2 cost paths and report per-step mean/stddev",
     )
-    p_cost.add_argument(
-        "--seed",
-        type=_checked(int, check_seed),
-        default=DEFAULT_SEED,
-        help=f"seed for --sample (default: {DEFAULT_SEED})",
-    )
+    add_seed(p_cost, f"seed for --sample (default: {DEFAULT_SEED})")
     add_force(p_cost, "costs")
     p_cost.set_defaults(func=_cmd_cost)
 
@@ -190,12 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_horizon(p_sim)
     add_rule(p_sim)
-    p_sim.add_argument(
-        "--seed",
-        type=_checked(int, check_seed),
-        default=DEFAULT_SEED,
-        help=f"default: {DEFAULT_SEED}",
-    )
+    add_seed(p_sim, f"default: {DEFAULT_SEED}")
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -208,10 +207,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     word = "Markov" if verdict.is_markov else "not Markov"
     print(f"verdict: series is {word} {_MODEL_NOTE}", file=sys.stderr)
     if verdict.drift_warning:
-        print(
-            "warning: mean step is far from zero; bands assume driftless noise",
-            file=sys.stderr,
-        )
+        print(_DRIFT_WARNING, file=sys.stderr)
     return 0 if verdict.is_markov else 1
 
 
@@ -222,7 +218,8 @@ def _markov_band(
 
     The check takes ``--p`` and ``--rule``.  A refusal names on stderr what
     the rule compared: W against its threshold, or the p-value of W against
-    p.  ``--force`` goes on under a warning instead.
+    p.  ``--force`` goes on under a warning instead.  A band for a drifting
+    series ends stderr with the drift warning of ``check``.
     """
     verdict = check_markov(series, p=args.p, rule=args.rule)
     if not verdict.is_markov:
@@ -244,7 +241,10 @@ def _markov_band(
             f"{output} emitted because --force was given",
             file=sys.stderr,
         )
-    return band(series, args.horizon, verdict)
+    b = band(series, args.horizon, verdict)
+    if verdict.drift_warning:
+        print(_DRIFT_WARNING, file=sys.stderr)
+    return b
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:

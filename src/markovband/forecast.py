@@ -54,9 +54,6 @@ class ForecastBand:
     lower: np.ndarray
     upper: np.ndarray
 
-    def half_widths(self) -> np.ndarray:
-        return self.upper - self.x0
-
     def to_dict(self) -> dict:
         """The ``forecast`` payload: anchor, scale, horizon and one row a step."""
         return {

@@ -41,12 +41,6 @@ class DegenerateSeriesError(ValueError):
     """
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """An ordered numeric series."""
@@ -87,7 +81,9 @@ class ErrorSequence:
     stddev: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "errors", _freeze(self.errors))
+        errors = np.array(self.errors, dtype=float)
+        errors.setflags(write=False)
+        object.__setattr__(self, "errors", errors)
 
     def __len__(self) -> int:
         return int(self.errors.size)
@@ -288,11 +284,8 @@ def load_series(source: Source) -> TimeSeries:
         )
     if (widths == width).all():
         cells = fields[(start + 1) * width - 1 :: width]
-        try:
-            values = np.fromiter(map(float, cells), float, rows)
+        try:  # a cell float refuses, or a value TimeSeries refuses as not finite
+            return TimeSeries(values=np.fromiter(map(float, cells), float, rows))
         except ValueError:
             pass
-        else:
-            if np.isfinite(values).all():
-                return TimeSeries(values=values)
     raise _refusal(fields, widths.tolist(), start)

@@ -153,10 +153,10 @@ def test_c6_band_endpoints_follow_square_root_law():
     big = mb.make_band(10.0, 2.0, 100)
     kk = np.arange(1.0, 101.0)
     law_dev = np.max(
-        np.abs(big.half_widths() - 2.0 * np.sqrt(kk)) / (2.0 * np.sqrt(kk))
+        np.abs((big.upper - big.x0) - 2.0 * np.sqrt(kk)) / (2.0 * np.sqrt(kk))
     )
     ok = lo_dev <= 1e-12 and hi_dev <= 1e-12 and law_dev <= 1e-12
-    ok &= bool(np.all(np.diff(big.half_widths()) > 0.0))
+    ok &= bool(np.all(np.diff(big.upper - big.x0) > 0.0))
     _report("C6 band endpoints 10 -/+ 2 sqrt(k)", ok,
             f"max rel dev lower={lo_dev:.1e}, upper={hi_dev:.1e}, "
             f"law(H=100)={law_dev:.1e}")

@@ -17,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 WALK = str(DATA / "gaussian_walk.csv")
 SKEWED = str(DATA / "skewed.csv")
 RAMP = str(DATA / "ramp.csv")
+DRIFT = str(DATA / "drift_walk.csv")
 EVENTS = str(DATA / "events.csv")
 RATES = str(DATA / "rates.cfg")
 
@@ -205,6 +206,22 @@ def test_forecast_force_overrides_refusal(capsys):
     assert code == 0
     assert len(payload["bands"]) == 12  # default horizon
     assert "warning" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--input", DRIFT],
+    ["cost", "--input", DRIFT, "--events", EVENTS, "--rates", RATES],
+], ids=["forecast", "cost"])
+def test_a_band_for_a_drifting_walk_carries_the_drift_warning_of_check(capsys, argv):
+    # a 60-point walk with mean step 0.8 sigma: normal steps, so it passes
+    verdict = mb.check_markov(mb.load_series(DRIFT))
+    assert verdict.is_markov and verdict.drift_warning
+    _, _, check_err = run_cli(capsys, "check", "--input", DRIFT)
+    warning = check_err.splitlines()[-1]
+    assert warning.startswith("warning: mean step is far from zero")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert err.splitlines() == [warning]
 
 
 def test_forecast_ramp_exits_2(capsys):

@@ -23,7 +23,7 @@ def test_worked_example_endpoints():
     assert b.lower[0] == 8.0 and b.upper[0] == 12.0
     assert b.lower[3] == 6.0 and b.upper[3] == 14.0
     expected_half = 2.0 * np.sqrt([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(b.half_widths(), expected_half, rtol=1e-12)
+    np.testing.assert_allclose(b.upper - b.x0, expected_half, rtol=1e-12)
 
 
 def test_band_is_exactly_symmetric_for_the_example():
@@ -48,9 +48,9 @@ def test_band_follows_square_root_law(x0, sigma, horizon):
     # match sqrt(k)*sigma to within one ulp of |x0| + width
     edge = abs(x0) + sigma * np.sqrt(horizon)
     np.testing.assert_allclose(
-        b.half_widths(), np.sqrt(k) * sigma, rtol=1e-9, atol=2.0**-50 * edge
+        b.upper - b.x0, np.sqrt(k) * sigma, rtol=1e-9, atol=2.0**-50 * edge
     )
-    assert np.all(np.diff(b.half_widths()) > 0.0) or horizon == 1
+    assert np.all(np.diff(b.upper - b.x0) > 0.0) or horizon == 1
 
 
 def test_zero_sigma_gives_flat_band():
