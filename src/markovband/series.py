@@ -284,7 +284,7 @@ def load_series(source: Source) -> TimeSeries:
         )
     if (widths == width).all():
         cells = fields[(start + 1) * width - 1 :: width]
-        try:  # a cell float refuses, or a value TimeSeries refuses as not finite
+        try:  # float refuses a cell, or TimeSeries a value that is not finite
             return TimeSeries(values=np.fromiter(map(float, cells), float, rows))
         except ValueError:
             pass
