@@ -17,16 +17,15 @@ The record goes to ``BENCH_<NAME>.json`` in the repository root.  For each
 workload and end-to-end metric it holds the per-seed values of each side,
 their median and quartiles, and the pairs the change won (the direction
 and bound come from ``BENCHMARK.json``; ties count for neither side).  It
-also holds each side's git sha and the sha256 of its ``src``, computed as
-``bench/run.py`` does, and the host's Python, numpy and BLAS versions and
-CPU count.  A run that fails, prints no result or checks no output as
+also holds each side's git sha and the sha256 of the ``src`` that
+``bench/run.py`` measured (one per side, or the script stops), and the
+host's Python, numpy and BLAS versions and CPU count.  A run that fails, prints no result or checks no output as
 correct stops the script with no record written.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -49,15 +48,6 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
     ).stdout
-
-
-def src_sha256(root: Path) -> str:
-    """The hash ``bench/run.py`` prints as ``src_sha256`` for ``root/src``."""
-    src = root / "src"
-    digest = hashlib.sha256()
-    for path in sorted(src.rglob("*.py")):
-        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -153,8 +143,6 @@ def main(argv: list[str] | None = None) -> int:
             "change": {"ref": "working tree", "git_sha": git("rev-parse", "HEAD").strip(),
                        "dirty": bool(git("status", "--porcelain"))},
         }
-        for name, root in roots.items():
-            sides[name]["src_sha256"] = src_sha256(root)
 
         workloads = {}
         for workload in args.workload or WORKLOADS:
@@ -164,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
                 run = {"seed": seed, "first": order[0]}
                 for name in order:
                     run[name] = bench_once(roots[name], workload, seed, seconds)
-                    if run[name]["env"]["src_sha256"] != sides[name]["src_sha256"]:
-                        sys.exit(f"error: the {name} run measured another src")
+                    measured = run[name]["env"]["src_sha256"]
+                    if sides[name].setdefault("src_sha256", measured) != measured:
+                        sys.exit(f"error: the {name} side's src changed between runs")
                     print(f"{workload} seed {seed} {name}: "
                           f"{json.dumps(run[name]['result']['metrics'])}", flush=True)
                 runs.append(run)
