@@ -11,7 +11,7 @@ the run length that ``BENCHMARK.json`` sets: the parent side in a ``git
 archive`` of REF extracted to a temporary directory, the change side in
 this working tree.  Pair i runs seed ``SEEDS[i]`` on both sides; the parent
 runs first in even pairs and the change in odd ones, so that a drift of
-the host over the session falls on both sides alike.
+the host's speed over the runs falls on both sides alike.
 
 The record goes to ``BENCH_<NAME>.json`` in the repository root.  For each
 workload and end-to-end metric it holds the per-seed values of each side,
