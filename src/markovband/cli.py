@@ -211,74 +211,80 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if verdict.is_markov else 1
 
 
-def _markov_band(
-    series: TimeSeries, args: argparse.Namespace, action: str, output: str
-) -> ForecastBand | None:
-    """The band of ``series``, or None when its Markov check stops the command.
+def _emit_band(
+    series: TimeSeries,
+    args: argparse.Namespace,
+    action: str,
+    output: str,
+    render: Callable[[ForecastBand], str],
+) -> int:
+    """Print ``render`` of the band of ``series``: 0, or 1 when its Markov check stops.
 
     The check takes ``--p`` and ``--rule``.  A refusal names on stderr what
     the rule compared: W against its threshold, or the p-value of W against
-    p.  ``--force`` goes on under a warning instead.  A band for a drifting
-    series ends stderr with the drift warning of ``check``.
+    p.  ``--force`` goes on under a warning instead, and a band for a
+    drifting series carries the drift warning of ``check``.  Both warnings
+    go out only once ``render`` has built the output, so a command that
+    fails while building it prints its error line alone.
     """
     verdict = check_markov(series, p=args.p, rule=args.rule)
+    if not verdict.is_markov and not args.force:
+        sw = verdict.sw
+        if sw.p_value is None:
+            compared = f"W={sw.w:.6g}, threshold={sw.threshold:.6g}"
+        else:
+            compared = f"p-value={sw.p_value:.6g}, p={sw.threshold:.6g}"
+        print(
+            f"refusing to {action}: series is not Markov {_MODEL_NOTE} "
+            f"({compared}); "
+            f"pass --force to emit the {output} anyway",
+            file=sys.stderr,
+        )
+        return 1
+    text = render(band(series, args.horizon, verdict))
     if not verdict.is_markov:
-        if not args.force:
-            sw = verdict.sw
-            if sw.p_value is None:
-                compared = f"W={sw.w:.6g}, threshold={sw.threshold:.6g}"
-            else:
-                compared = f"p-value={sw.p_value:.6g}, p={sw.threshold:.6g}"
-            print(
-                f"refusing to {action}: series is not Markov {_MODEL_NOTE} "
-                f"({compared}); "
-                f"pass --force to emit the {output} anyway",
-                file=sys.stderr,
-            )
-            return None
         print(
             f"warning: series failed the Markov check {_MODEL_NOTE}; "
             f"{output} emitted because --force was given",
             file=sys.stderr,
         )
-    b = band(series, args.horizon, verdict)
     if verdict.drift_warning:
         print(_DRIFT_WARNING, file=sys.stderr)
-    return b
+    print(text)
+    return 0
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
-    series = load_series(args.input)
-    b = _markov_band(series, args, "forecast", "band")
-    if b is None:
-        return 1
-    if args.format == "plot-csv":
-        print("k,lower,x0,upper")
-        for row in step_rows(lower=b.lower, upper=b.upper):
-            print(f"{row['k']},{row['lower']!r},{b.x0!r},{row['upper']!r}")
-    else:
-        print(json.dumps(b.to_dict(), indent=2))
-    return 0
+    def render(b: ForecastBand) -> str:
+        if args.format == "json":
+            return json.dumps(b.to_dict(), indent=2)
+        rows = step_rows(lower=b.lower, upper=b.upper)
+        return "\n".join(
+            ["k,lower,x0,upper"]
+            + [f"{r['k']},{r['lower']!r},{b.x0!r},{r['upper']!r}" for r in rows]
+        )
+
+    return _emit_band(load_series(args.input), args, "forecast", "band", render)
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     series = load_series(args.input)
     summary = summarize_costs(load_events(args.events), load_rates(args.rates))
-    b = _markov_band(series, args, "cost the forecast", "costs")
-    if b is None:
-        return 1
-    payload = cost_band(b, summary).to_dict()
-    if args.sample is not None:
-        mean, std = sample_cost_moments(
-            b.x0, b.sigma, b.horizon, summary, args.sample, args.seed
-        )
-        payload["samples_summary"] = {
-            "count": args.sample,
-            "seed": args.seed,
-            "per_step": step_rows(mean=mean, stddev=std),
-        }
-    print(json.dumps(payload, indent=2))
-    return 0
+
+    def render(b: ForecastBand) -> str:
+        payload = cost_band(b, summary).to_dict()
+        if args.sample is not None:
+            mean, std = sample_cost_moments(
+                b.x0, b.sigma, b.horizon, summary, args.sample, args.seed
+            )
+            payload["samples_summary"] = {
+                "count": args.sample,
+                "seed": args.seed,
+                "per_step": step_rows(mean=mean, stddev=std),
+            }
+        return json.dumps(payload, indent=2)
+
+    return _emit_band(series, args, "cost the forecast", "costs", render)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

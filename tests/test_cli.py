@@ -833,8 +833,9 @@ def test_in_process_calls_match_fresh_processes(capsys):
         (WALK, ["--sample", "100", "--horizon", "2"], "sampled costs"),
         (EVENTS, ["--sample", "100", "--horizon", "2"], "sampled costs"),
         (None, [], "cost band edges"),
+        (DRIFT, [], "cost band edges"),  # no drift warning before the error
     ],
-    ids=["walk-sample", "events-sample", "band-edges"],
+    ids=["walk-sample", "events-sample", "band-edges", "drift-band-edges"],
 )
 def test_cost_overflow_exits_2_with_one_error_line(tmp_path, series, extra, what):
     rates = tmp_path / "rates.cfg"
