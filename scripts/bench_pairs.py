@@ -3,24 +3,28 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench_pairs.py --parent REF --label NAME [--pairs N]
-        [--workload {screen,calibrate,sample} ...]
+    python3 scripts/bench_pairs.py --parent REF --label NAME
 
 Each side runs its own ``bench/run.py``, unchanged, with ``--trace 0`` for
 the run length that ``BENCHMARK.json`` sets: the parent side in a ``git
 archive`` of REF extracted to a temporary directory, the change side in
-this working tree.  Pair i runs seed ``SEEDS[i]`` on both sides; the parent
-runs first in even pairs and the change in odd ones, so that a drift of
-the host's speed over the runs falls on both sides alike.
+this working tree.  Every workload of ``BENCHMARK.json`` runs one pair per
+seed of ``SEEDS``, the same seed on both sides; the parent runs first in
+even pairs and the change in odd ones, so that a drift of the host's speed
+over the runs falls on both sides alike.
 
 The record goes to ``BENCH_<NAME>.json`` in the repository root.  For each
 workload and end-to-end metric it holds the per-seed values of each side,
 their median and quartiles, and the pairs the change won (the direction
-and bound come from ``BENCHMARK.json``; ties count for neither side).  It
+and bound come from ``BENCHMARK.json``; ties count for neither side), and
+whether the change's median is within the bound: true, false, or
+"unresolved" when the parent's own IQR is wider than the bound allows, as
+the parent's runs then cannot tell a change of that size from noise.  It
 also holds each side's git sha and the sha256 of the ``src`` that
 ``bench/run.py`` measured (one per side, or the script stops), and the
-host's Python, numpy and BLAS versions and CPU count.  A run that fails, prints no result or checks no output as
-correct stops the script with no record written.
+host's Python, numpy and BLAS versions and CPU count.  A run that fails,
+prints no result or checks no output as correct stops the script with no
+record written.
 """
 
 from __future__ import annotations
@@ -39,9 +43,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-WORKLOADS = [w["name"] for w in SPEC["workloads"]]
-#: Seeds of the pairs, in order; a record of N pairs uses the first N.
-SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112)
+#: Seeds of the pairs, in order.
+SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
 
 
 def git(*args: str) -> str:
@@ -82,6 +85,21 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def within_bound(spec: dict, parent: dict, change: dict) -> bool | str:
+    """Whether the change's median is within ``spec``'s bound of the parent's.
+
+    "unresolved" when the parent's IQR exceeds the bound as a share of its
+    median, unless every change run beats every parent run.
+    """
+    lower = spec["better"] == "lower"
+    separated = (max(change["values"]) < min(parent["values"]) if lower
+                 else min(change["values"]) > max(parent["values"]))
+    if parent["iqr"] > spec["bound"] * parent["median"] and not separated:
+        return "unresolved"
+    ratio = change["median"] / parent["median"]
+    return ratio <= 1 + spec["bound"] if lower else ratio >= 1 - spec["bound"]
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per end-to-end metric: both sides' values and spreads, and the wins."""
     metrics = {}
@@ -92,7 +110,6 @@ def summarize(runs: list[dict]) -> dict:
         wins = sum(c < p if lower else c > p
                    for p, c in zip(side["parent"], side["change"]))
         parent, change = spread(side["parent"]), spread(side["change"])
-        ratio = change["median"] / parent["median"]
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -101,9 +118,8 @@ def summarize(runs: list[dict]) -> dict:
             "change": change,
             "change_wins": wins,
             "pairs": len(runs),
-            "median_ratio": ratio,
-            "within_bound": (ratio <= 1 + spec["bound"] if lower
-                             else ratio >= 1 - spec["bound"]),
+            "median_ratio": change["median"] / parent["median"],
+            "within_bound": within_bound(spec, parent, change),
         }
     return metrics
 
@@ -122,17 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
     parser.add_argument("--label", required=True,
                         help="names the record BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help=f"pairs a workload, 2..{len(SEEDS)} (default: 10)")
-    parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="workload to run; repeat for several (default: all)")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         parser.error("--label may hold only letters, digits, '_', '.' and '-'")
-    if not 2 <= args.pairs <= len(SEEDS):
-        parser.error(f"--pairs must be in 2..{len(SEEDS)}")
     seconds = SPEC["run_seconds"]
-    seeds = SEEDS[: args.pairs]
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}
@@ -145,9 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         }
 
         workloads = {}
-        for workload in args.workload or WORKLOADS:
+        for workload in (w["name"] for w in SPEC["workloads"]):
             runs = []
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(SEEDS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
                 for name in order:
@@ -170,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "command": SPEC["command"],
         "run_seconds": seconds,
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "sides": sides,
         "host": {
             "python": platform.python_version(),
