@@ -269,9 +269,9 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     series = load_series(args.input)
-    summary = summarize_costs(load_events(args.events), load_rates(args.rates))
 
     def render(b: ForecastBand) -> str:
+        summary = summarize_costs(load_events(args.events), load_rates(args.rates))
         payload = cost_band(b, summary).to_dict()
         if args.sample is not None:
             mean, std = sample_cost_moments(

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .forecast import ForecastBand, check_walk, sample_paths, step_rows
-from .rng import BLOCK_PATHS, stream_filler
+from .rng import BLOCK_PATHS, substream
 from .series import Source, read_csv, read_text
 
 __all__ = [
@@ -225,7 +225,7 @@ def sample_cost_moments(
     ``costs.std(axis=0, ddof=1)`` of ``costs = sample_costs(...)``.
 
     Any other count is streamed, in one pass of :func:`_column_sums` that
-    regenerates the matrix piece by piece, in two piece buffers per worker
+    regenerates the matrix piece by piece, in two piece buffers per pool
     thread whatever ``count``, ``horizon`` and the CPU count are.  Block b
     of the matrix is its rows ``b * BLOCK_PATHS`` on (stream b's paths),
     and a piece is ``PIECE_BYTES // (8 * horizon)`` of a block's paths.
@@ -293,95 +293,70 @@ def _column_sums(
     offsets' squares.
 
     A block is drawn in pieces of ``PIECE_BYTES // (8 * horizon)`` paths
-    (the last piece of a block may be shorter), from one rewind of its
-    stream, so the pieces are the block's bits.  Each piece is drawn one
-    path a row into a noise buffer and laid out one step a row in a piece
-    buffer, and each step's sum over the piece is numpy's pairwise
-    ``np.add.reduce(piece, axis=1)`` along a contiguous row.  The
-    transposed noise is walked there a row at a time (row k plus row
-    k - 1, as ``cumsum`` adds), which gives the bits of
+    (the last piece of a block may be shorter), in order, from one
+    ``substream(seed, b)`` generator, so the pieces are the block's bits.
+    Each piece is drawn one path a row into a noise buffer and laid out
+    one step a row in a piece buffer, and each step's sum over the piece
+    is numpy's pairwise ``np.add.reduce(piece, axis=1)`` along a
+    contiguous row.  The transposed noise is walked there a row at a time
+    (row k plus row k - 1, as ``cumsum`` adds), which gives the bits of
     :func:`sample_costs`.  Each piece is reduced three times in place: as
     costs, after the shift is taken off, and after the offsets are
-    squared.  The piece sums are added in piece order into the
-    block's slot, and the slots in block order into the total, each from
+    squared.  The piece sums are added in piece order into the block's
+    sums, and the blocks' in block order into the total, each from
     ``-0.0`` (which ``-0.0 + x`` leaves as ``x``, bit for bit).
 
-    Blocks are taken in turn from a shared counter by worker threads, at
-    most one per CPU and one per block (the calling thread is one of them),
-    each with its own :func:`~markovband.rng.stream_filler`, noise buffer
-    and piece buffer, under the numpy error state of the calling thread;
-    numpy releases the GIL while it draws and computes.  A worker takes a
-    whole block's three sums and writes them to the block's slot, so no
-    worker waits for another, and the calling thread adds the slots in
-    block order after the join.  The buffers are allocated by the calling
-    thread, once per call.  A worker's error stops the others from taking
-    blocks and is raised once they are joined.
+    Each block is one task of a thread pool of at most one thread per CPU
+    and one per block.  A task allocates its own two buffers and runs
+    under the numpy error state of the calling thread; numpy releases the
+    GIL while it draws and computes.  The calling thread adds the blocks'
+    sums as they come, in block order.  A task's error stops the blocks
+    not yet begun from drawing, and is raised once the pool has shut down.
     """
     import threading
+    from concurrent.futures import ThreadPoolExecutor
 
     rows = max(1, min(BLOCK_PATHS, PIECE_BYTES // (8 * horizon)))
     blocks = -(-count // BLOCK_PATHS)
-    workers = min(_worker_count(), blocks)
-    buffers = np.empty((workers, 2, rows * horizon))  # noise, then piece
-    fillers = [stream_filler(seed) for _ in range(workers)]
     shift = x0 * rate
-    block_sums = np.full((blocks, 3, horizon), -0.0)  # costs, offsets, squares
-    lock = threading.Lock()
-    taken = 0  # blocks handed to workers
-    failure: BaseException | None = None
     errors = np.geterr()  # a new thread starts with numpy's default error state
+    failed = threading.Event()
 
-    def work(buf: np.ndarray, fill) -> None:
-        nonlocal taken, failure
+    def block_sums(block: int) -> np.ndarray:
+        sums = np.full((3, horizon), -0.0)  # costs, offsets, squares
+        if failed.is_set():
+            return sums
         try:
             with np.errstate(**errors):
-                while True:
-                    with lock:
-                        block = taken
-                        if failure is not None or block == blocks:
-                            return
-                        taken += 1
-                    costs, offsets, squares = block_sums[block]
-                    start = block * BLOCK_PATHS
-                    end = min(start + BLOCK_PATHS, count)
-                    for first in range(start, end, rows):
-                        n = min(rows, end - first)
-                        noise = buf[0, : n * horizon].reshape(n, horizon)
-                        piece = buf[1, : n * horizon].reshape(horizon, n)
-                        if first == start:
-                            fill(block, noise)
-                        else:
-                            fill.resume(noise)
-                        np.multiply(noise.T, sigma, out=piece)
-                        for step, before in zip(piece[1:], piece):
-                            step += before
-                        piece += x0
-                        piece *= rate
-                        costs += np.add.reduce(piece, axis=1)
-                        piece -= shift
-                        offsets += np.add.reduce(piece, axis=1)
-                        np.square(piece, out=piece)
-                        squares += np.add.reduce(piece, axis=1)
-        except BaseException as exc:  # raised again on the calling thread
-            with lock:
-                if failure is None:
-                    failure = exc
+                draw = substream(seed, block).standard_normal
+                buf = np.empty((2, rows * horizon))  # noise, then piece
+                costs, offsets, squares = sums
+                start = block * BLOCK_PATHS
+                end = min(start + BLOCK_PATHS, count)
+                for first in range(start, end, rows):
+                    n = min(rows, end - first)
+                    noise = buf[0, : n * horizon].reshape(n, horizon)
+                    piece = buf[1, : n * horizon].reshape(horizon, n)
+                    draw(out=noise)
+                    np.multiply(noise.T, sigma, out=piece)
+                    for step, before in zip(piece[1:], piece):
+                        step += before
+                    piece += x0
+                    piece *= rate
+                    costs += np.add.reduce(piece, axis=1)
+                    piece -= shift
+                    offsets += np.add.reduce(piece, axis=1)
+                    np.square(piece, out=piece)
+                    squares += np.add.reduce(piece, axis=1)
+        except BaseException:
+            failed.set()
+            raise
+        return sums
 
-    threads: list[threading.Thread] = []
-    try:
-        for buf, fill in zip(buffers[1:], fillers[1:]):
-            thread = threading.Thread(target=work, args=(buf, fill))
-            thread.start()
-            threads.append(thread)
-        work(buffers[0], fillers[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failure is not None:
-        raise failure
     total = np.full((3, horizon), -0.0)
-    for sums in block_sums:
-        total += sums
+    with ThreadPoolExecutor(min(_worker_count(), blocks)) as pool:
+        for sums in pool.map(block_sums, range(blocks)):
+            total += sums
     return total
 
 

@@ -3,8 +3,12 @@
 Every stochastic operation in the package draws from a Philox generator
 keyed by ``(seed, stream)``.  Distinct stream indices give statistically
 independent streams from the same user-facing seed, so batches of work can
-be sliced into blocks (or farmed out across processes, each opening its own
-substream) while producing bit-identical results to a serial run.
+be sliced into blocks, each drawn from its own substream on any thread or
+process, while producing bit-identical results to a serial run.  A
+generator reads its stream in C order, so a block drawn in pieces, in
+order, from one ``substream`` is bitwise its one-call draw.
+:func:`stream_filler` rewinds one generator from stream to stream, for work
+that draws many short streams.
 """
 
 from __future__ import annotations
@@ -49,14 +53,9 @@ def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
     ``fill(t, out)`` fills ``out`` (C-contiguous) bitwise as
     ``substream(seed, t).standard_normal(out.shape)`` would.  One generator
     is built and rewound to a fresh state keyed ``(seed, t)`` on each call,
-    which skips the per-stream construction cost.
-
-    ``fill.resume(out)`` goes on drawing the same stream where the last call
-    stopped, without a rewind.  So a block may be drawn in pieces: after
-    ``fill(t, block[:a])``, ``fill.resume(block[a:b])``,
-    ``fill.resume(block[b:])`` and so on, the rows are bitwise the one call
-    ``fill(t, block)``, because the stream is read in C order.  A filler
-    holds one generator: give each thread its own.
+    which skips the per-stream construction cost when many short streams
+    are drawn, as calibration draws one per trial.  A filler holds one
+    generator: give each thread its own.
 
     The fresh state is held as Python ints in lists, not as the uint64
     arrays that ``bitgen.state`` returns.  numpy's state setter reads
@@ -77,24 +76,20 @@ def stream_filler(seed: int) -> Callable[[int, np.ndarray], None]:
         bitgen.state = fresh
         gen.standard_normal(out=out)
 
-    def resume(out: np.ndarray) -> None:
-        gen.standard_normal(out=out)
-
-    fill.resume = resume  # type: ignore[attr-defined]
     return fill
 
 
 def standard_normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """A (rows, cols) standard normal matrix, filled in substream blocks.
 
-    Row block b (of height ``BLOCK_PATHS``) comes from ``substream(seed, b)``,
-    so the output for given (seed, rows, cols) is a pure function of its
-    arguments regardless of how the blocks are scheduled.
+    Row block b (of height ``BLOCK_PATHS``) is drawn in C order from
+    ``substream(seed, b)``, so the output for given (seed, rows, cols) is a
+    pure function of its arguments regardless of how the blocks are
+    scheduled.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
-    fill = stream_filler(seed)
     out = np.empty((rows, cols))
     for block, start in enumerate(range(0, rows, BLOCK_PATHS)):
-        fill(block, out[start : start + BLOCK_PATHS])
+        substream(seed, block).standard_normal(out=out[start : start + BLOCK_PATHS])
     return out

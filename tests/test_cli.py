@@ -415,15 +415,24 @@ def test_cost_series_the_check_cannot_judge_exits_2_even_with_force(
     assert "warning:" not in err
 
 
-def test_cost_malformed_input_exits_2_before_the_markov_check(capsys, tmp_path):
+@pytest.mark.parametrize("path, force, code, message", [
+    (SKEWED, [], 1, "refusing to cost the forecast: series is not Markov"),
+    (RAMP, [], 2, "error: all first differences are equal"),
+    (SKEWED, ["--force"], 2, "error: events CSV is missing required columns"),
+], ids=["skewed", "ramp", "skewed-force"])
+def test_cost_checks_the_series_before_it_reads_the_events(
+    capsys, tmp_path, path, force, code, message
+):
+    # As forecast does: the events are read only for a band that is emitted.
     events = tmp_path / "events.csv"
     events.write_text("delays,cancellations\n1,2\n")
-    code, out, err = run_cli(
-        capsys, "cost", "--input", SKEWED, "--events", str(events), "--rates", RATES
+    got, out, err = run_cli(
+        capsys, "cost", "--input", path, "--events", str(events), "--rates", RATES,
+        *force,
     )
-    assert code == 2
+    assert got == code
     assert out == ""
-    assert "missing required columns" in err
+    assert len(err.splitlines()) == 1 and err.startswith(message), err
 
 
 def test_cost_ragged_events_row_exits_2(capsys, tmp_path):

@@ -351,41 +351,34 @@ def test_streamed_constant_costs_have_a_zero_stddev(horizon):
 
 
 class ConstantNoise:
-    """A filler stub whose every draw is 0.3."""
+    """A ``substream`` stub whose every draw is 0.3."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, stream):
         pass
 
-    def __call__(self, block, out):
-        out.fill(0.3)
-
-    def resume(self, out):
+    def standard_normal(self, out):
         out.fill(0.3)
 
 
 def test_a_variance_rounded_below_zero_is_clamped_to_zero(monkeypatch):
     # Equal costs off the shift: S2 - S1 * (S1 / N) rounds to -7.3e-12 and
     # -1.5e-11 in the last two columns here, whose square root is a nan.
-    monkeypatch.setattr(cost, "stream_filler", ConstantNoise)
+    monkeypatch.setattr(cost, "substream", ConstantNoise)
     summary = CostSummary(adc=1.5, asc=0.25, months=2)
     _, std = moments(500.0, 0.7, 3, summary, BLOCK_PATHS + 9, 0)
     assert std[1:].tobytes() == np.zeros(2).tobytes()
     assert 0.0 < std[0] < 1e-5  # 5.3e-09, the rounding of equal costs
 
 
-def block_filler(draw):
-    """A filler stub class that calls ``draw(block)`` on each draw of a block
-    and fills the noise with the block's number."""
+def block_substream(draw):
+    """A ``substream`` stub class that calls ``draw(block)`` on each draw of a
+    block and fills the noise with the block's number."""
 
     class BlockNumbers:
-        def __init__(self, seed):
-            self.block = None
-
-        def __call__(self, block, out):
+        def __init__(self, seed, block):
             self.block = block
-            self.resume(out)
 
-        def resume(self, out):
+        def standard_normal(self, out):
             draw(self.block)
             out.fill(float(self.block))
 
@@ -397,7 +390,7 @@ def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
         if block == 2:
             raise RuntimeError("block 2 failed")
 
-    monkeypatch.setattr(cost, "stream_filler", block_filler(fail_on_block_two))
+    monkeypatch.setattr(cost, "substream", block_substream(fail_on_block_two))
     monkeypatch.setattr(cost, "_worker_count", lambda: 2)
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
@@ -408,7 +401,7 @@ def test_sample_cost_moments_raise_a_worker_error(monkeypatch):
 
 def test_a_worker_error_stops_the_other_workers_taking_blocks(monkeypatch):
     # Three workers take blocks 0, 1 and 2 of six.  Blocks 1 and 2 are held
-    # until block 0 has failed; their workers then take no further block.
+    # until block 0 has failed; blocks 3 to 5 then draw nothing.
     walked = set()
     failed = threading.Event()
 
@@ -426,7 +419,7 @@ def test_a_worker_error_stops_the_other_workers_taking_blocks(monkeypatch):
 
     escaped = []  # errors that left a worker thread instead of the call
     monkeypatch.setattr(threading, "excepthook", escaped.append)
-    monkeypatch.setattr(cost, "stream_filler", block_filler(fail_in_block_zero))
+    monkeypatch.setattr(cost, "substream", block_substream(fail_in_block_zero))
     monkeypatch.setattr(cost, "_worker_count", lambda: 3)
     threads = threading.active_count()
     summary = CostSummary(adc=1.0, asc=0.0, months=1)
@@ -455,8 +448,8 @@ def assert_two_pieces_per_worker(monkeypatch, workers, horizon, count):
 
     A buffer is ``rows`` paths of ``horizon`` floats, about PIECE_BYTES:
     one holds the noise, the other the piece one step a row.  The slack,
-    64 KiB a worker and 64 KiB more, is for each worker's filler and the
-    call's small arrays.
+    64 KiB a worker and 64 KiB more, is for each worker's generator and
+    the call's small arrays.
     """
     used = min(workers, -(-count // BLOCK_PATHS))
     peak = traced_peak(monkeypatch, workers, horizon, count)

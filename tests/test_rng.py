@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovband.rng import BLOCK_PATHS, stream_filler, substream
+from markovband.rng import (
+    BLOCK_PATHS,
+    standard_normal_matrix,
+    stream_filler,
+    substream,
+)
 
 
 @pytest.mark.parametrize("seed, start, stop, cols", [
@@ -40,12 +45,21 @@ def test_stream_filler_refuses_a_seed_out_of_range(seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_a_block_drawn_in_pieces_is_the_one_call_draw_bitwise(seed, stream, cols, cuts):
-    # one rewind, then the pieces in order, as cost._column_sums draws a block
+    # the pieces in order from one generator, as cost._column_sums draws a block
     block = np.empty((BLOCK_PATHS, cols))
     edges = [0, *sorted(cuts), BLOCK_PATHS]
-    fill = stream_filler(seed)
-    fill(stream, block[: edges[1]])
-    for start, stop in zip(edges[1:], edges[2:]):
-        fill.resume(block[start:stop])
+    draw = substream(seed, stream).standard_normal
+    for start, stop in zip(edges, edges[1:]):
+        draw(out=block[start:stop])
     expect = substream(seed, stream).standard_normal((BLOCK_PATHS, cols))
     assert block.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1729])
+def test_standard_normal_matrix_draws_row_block_b_from_stream_b_bitwise(seed):
+    cols = 3
+    m = standard_normal_matrix(seed, BLOCK_PATHS + 3, cols)
+    first = substream(seed, 0).standard_normal((BLOCK_PATHS, cols))
+    rest = substream(seed, 1).standard_normal((3, cols))
+    assert m[:BLOCK_PATHS].tobytes() == first.tobytes()
+    assert m[BLOCK_PATHS:].tobytes() == rest.tobytes()
