@@ -388,9 +388,11 @@ def load_events(source: Source) -> list[MonthlyEvents]:
         for name, j in columns:
             try:
                 counts[name] = int(row[j])
-            except ValueError:
+            except ValueError:  # digits past int()'s limit are a huge count
                 raise ValueError(
-                    f"non-integer count {row[j]!r} for {name!r} in month row {i}"
+                    f"month {i} has event counts beyond the float64 range"
+                    if row[j].strip().isdecimal()
+                    else f"non-integer count {row[j]!r} for {name!r} in month row {i}"
                 ) from None
         months.append(MonthlyEvents(**counts))
     if not months:

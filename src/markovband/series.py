@@ -146,7 +146,7 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 
 
 def read_text(source: Source) -> str:
-    """Text of a path or open stream; bytes are UTF-8 with an optional BOM."""
+    """Text of a path or open stream, less a leading BOM; bytes are UTF-8."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             raw: Union[str, bytes] = fh.read()
@@ -157,7 +157,7 @@ def read_text(source: Source) -> str:
             return raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise SeriesFormatError(f"input is not valid UTF-8 text: {exc}") from exc
-    return raw
+    return raw.removeprefix("\ufeff")
 
 
 def read_csv(source: Source) -> list[list[str]]:

@@ -28,9 +28,9 @@ def reference_load_series(text: str) -> TimeSeries:
     loader accepts and how it names what it refuses.  The first row is a
     header when its last field does not parse and does not start like a
     number (``[+-]?[0-9.]`` after leading whitespace); one that starts like
-    a number is refused as data row 1.
+    a number is refused as data row 1.  A leading BOM is not part of the text.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:

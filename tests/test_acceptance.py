@@ -7,8 +7,6 @@ them is a contract change, not a test fix.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -17,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entry_point import run_module
 from oracles import mc_order_stat_weights
 
 import markovband as mb
@@ -202,22 +201,19 @@ def test_c8_same_seed_is_byte_identical():
         mb.run_calibration(trials=200, walk_length=20, horizon=3, seed=5)
         == mb.run_calibration(trials=200, walk_length=20, horizon=3, seed=5)
     )
-    sim_cmd = [
-        sys.executable, "-m", "markovband", "simulate",
-        "--trials", "300", "--length", "30", "--horizon", "6",
+    sim_argv = [
+        "simulate", "--trials", "300", "--length", "30", "--horizon", "6",
         "--seed", str(mb.DEFAULT_SEED),
     ]
-    cost_cmd = [
-        sys.executable, "-m", "markovband", "cost",
-        "--input", str(DATA / "gaussian_walk.csv"),
+    cost_argv = [
+        "cost", "--input", str(DATA / "gaussian_walk.csv"),
         "--events", str(DATA / "events.csv"),
         "--rates", str(DATA / "rates.cfg"),
         "--sample", "5000", "--seed", "17",
     ]
     cli_ok = True
-    for cmd in (sim_cmd, cost_cmd):
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+    for argv in (sim_argv, cost_argv):
+        first, second = run_module(*argv), run_module(*argv)
         cli_ok &= first.returncode == 0 and first.stdout == second.stdout
     elapsed = time.perf_counter() - t0
     ok = bool(lib_ok) and cli_ok and elapsed <= 60.0

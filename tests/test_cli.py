@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from entry_point import run_module
 
 import markovband as mb
 from markovband import cli
@@ -301,22 +304,27 @@ def test_cost_sampling_summary(capsys, tmp_path):
     "path, force", [(WALK, []), (SKEWED, ["--force"])], ids=["walk", "skewed-force"]
 )
 @pytest.mark.parametrize("rule", mb.RULES)
-@pytest.mark.parametrize("sample", [[], ["--sample", "400"]], ids=["plain", "sample"])
-def test_cost_prints_the_cost_bands_payload(capsys, path, force, rule, sample):
+@pytest.mark.parametrize("p, count, horizon", [
+    (0.05, None, 12), (0.01, None, 12), (0.05, 400, 12),
+    # streamed: two blocks, three with the last one short, and seven
+    (0.05, 70000, 12), (0.05, 140000, 2), (0.05, 400000, 2),
+], ids=["plain", "p0.01", "sample", "sample70000", "sample140000-h2", "sample400000-h2"])
+def test_cost_prints_the_cost_bands_payload(capsys, path, force, rule, p, count, horizon):
+    sample = ["--sample", str(count)] if count else []
     _, out, _ = run_cli(
         capsys, "cost", "--input", path, "--events", EVENTS, "--rates", RATES,
-        "--rule", rule, *force, *sample,
+        "--rule", rule, "--p", str(p), "--horizon", str(horizon), *force, *sample,
     )
     series = mb.load_series(path)
-    b = mb.band(series, 12, mb.check_markov(series, rule=rule))
+    b = mb.band(series, horizon, mb.check_markov(series, p=p, rule=rule))
     summary = mb.summarize_costs(mb.load_events(EVENTS), mb.load_rates(RATES))
     payload = mb.cost_band(b, summary).to_dict()
-    if sample:
+    if count:
         mean, std = mb.sample_cost_moments(
-            b.x0, b.sigma, 12, summary, 400, mb.DEFAULT_SEED
+            b.x0, b.sigma, horizon, summary, count, mb.DEFAULT_SEED
         )
         payload["samples_summary"] = {
-            "count": 400,
+            "count": count,
             "seed": mb.DEFAULT_SEED,
             "per_step": step_rows(mean=mean, stddev=std),
         }
@@ -490,22 +498,17 @@ def test_a_series_past_the_check_range_exits_2_naming_its_length(
     assert "3 to 5000 differences" in err
 
 
-def run_module(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "markovband", *argv], capture_output=True, text=True
-    )
-
-
 def only_error_line(err):
     lines = err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_cost_event_count_beyond_float64_exits_2_with_one_error_line(tmp_path):
+@pytest.mark.parametrize("digits", [401, 5000])  # 5000 is past int()'s limit
+def test_cost_event_count_beyond_float64_exits_2_with_one_error_line(tmp_path, digits):
     series, events, rates = write_micro_fixtures(tmp_path)
     events.write_text(
         "delays,cancellations,diversions,air_turnbacks,spares\n"
-        f"2,1,0,1,3\n{10**400},0,0,0,0\n"
+        f"2,1,0,1,3\n{'9' * digits},0,0,0,0\n"
     )
     proc = run_module(
         "cost", "--input", str(series), "--events", str(events), "--rates", str(rates)
@@ -615,14 +618,15 @@ def test_simulate_matches_library_run(capsys):
     assert err.endswith("; P(|T_18| <= 1) = 0.6694 per step is the calibrated value\n")
 
 
-@pytest.mark.parametrize("rule, accept", [("paper-threshold", "0.7480"),
-                                          ("p-value", "0.9500")])
-def test_simulate_prints_the_expected_acceptance(capsys, rule, accept):
-    code, _, err = run_cli(capsys, "simulate", "--trials", "100", "--length", "10",
+@pytest.mark.parametrize("rule, length, accept", [("paper-threshold", 10, "0.7480"),
+                                                  ("p-value", 10, "0.9500"),
+                                                  ("paper-threshold", 50, "0.9995")])
+def test_simulate_prints_the_expected_acceptance(capsys, rule, length, accept):
+    code, _, err = run_cli(capsys, "simulate", "--trials", "100", "--length", str(length),
                            "--rule", rule)
     assert code == 0
     assert err.splitlines()[-2] == (f"expected acceptance: {accept} of true walks "
-                                    f"of length 10 pass the {rule} rule at p = 0.05")
+                                    f"of length {length} pass the {rule} rule at p = 0.05")
 
 
 def golden(name):
@@ -767,23 +771,41 @@ def test_each_option_limit_is_a_usage_error_in_the_librarys_words(
 
 
 def test_cli_runs_as_a_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "markovband", "check", "--input", WALK],
-        capture_output=True, text=True,
-    )
+    proc = run_module("check", "--input", WALK)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["is_markov"] is True
 
 
 def test_cli_stdout_is_byte_identical_across_runs():
-    cmd = [
-        sys.executable, "-m", "markovband", "simulate",
-        "--trials", "150", "--length", "20", "--horizon", "3", "--seed", "4",
-    ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    argv = ["simulate", "--trials", "150", "--length", "20", "--horizon", "3", "--seed", "4"]
+    first, second = run_module(*argv), run_module(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("paths, horizon", [(400000, 1), (400000, 12), (400000, 100),
+                                            (140000, 500)])
+def test_sampled_moments_do_not_depend_on_the_cpus_the_process_may_use(paths, horizon):
+    # One CPU runs one worker, and all CPUs one worker each; 140000 paths at
+    # horizon 500 are three blocks, the last one short.
+    argv = [*COMMAND_ARGV["cost"], "--sample", str(paths), "--horizon", str(horizon)]
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pinned = run_module(*argv, preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+    assert pinned.returncode == 0
+    assert pinned.stdout == run_module(*argv).stdout
+
+
+@pytest.mark.parametrize("paths, horizon", [(65536, 500), (140000, 500), (20000000, 1)])
+def test_sampling_a_long_horizon_or_many_paths_peaks_under_200_mb(paths, horizon):
+    # One 2**16-path block at horizon 500 is 262 MB: holding whole blocks
+    # took 573 MB of RSS, and two pieces a worker 37 MB.  A count of one
+    # block is streamed too, not summarised from its matrix.  At horizon 1,
+    # 2e7 paths are a 160 MB column: summarising it whole took 341 MB, and
+    # two pieces a worker 37 MB.
+    run = run_module(*COMMAND_ARGV["cost"], "--sample", str(paths), "--horizon", str(horizon))
+    assert run.returncode == 0
+    assert run.peak_rss_mb <= 200, f"peak RSS {run.peak_rss_mb:.0f} MB"
 
 
 # ------------------------------------------------------- one parser a process

@@ -194,6 +194,7 @@ def with_one_parse_examples(test):
 @given(csv_texts())
 @example("ab,1")  # a single line
 @example('"t",v\n"a",1\nb,2\n')  # quoted header and label
+@example('month,value\n"Jan, 2020",10\n"Feb, 2020",11\n"Mar, 2020",10\n')
 @example("x" * (csv.field_size_limit() + 1) + ",1j\n1,2\n3,4\n")
 @example("a,1\n" + "b" * (csv.field_size_limit() + 1) + ",2\nc,3\n")
 @example("a\x00,1\nb,2\nc,3\n")
@@ -235,6 +236,7 @@ def test_carriage_returns_get_the_csv_result(text):
     ["value", "1.5", "2", "-3e-2"],
     ["month,value", "Jan,1.5", "Feb,2", "Mar,-3e-2"],
     ["t,a,b", "x,1,2", "y,3,4", "z,5,6"],
+    ["1,10", "2,11", "3,10", "4,12"],  # a numeric first column, not read
 ])
 @pytest.mark.parametrize("trailing", [True, False])
 def test_plain_series_files_never_reach_the_csv_module(monkeypatch, rows, end, trailing):
@@ -247,6 +249,17 @@ def test_plain_series_files_never_reach_the_csv_module(monkeypatch, rows, end, t
     for source in (io.StringIO(text), io.BytesIO(b"\xef\xbb\xbf" + text.encode())):
         series = load_series(source)
         assert series.values.tolist() == expected.values.tolist()
+
+
+@pytest.mark.parametrize("load, text", [
+    (lambda source: load_series(source).values.tolist(), "10\n11\n10\n12\n12\n"),
+    (load_events, "delays,cancellations,diversions,air_turnbacks,spares\n2,1,0,1,3\n"),
+    (load_rates, "delay=1\ncancellation=2\ndiversion=3\nair_turnback=4\nspare=5\n"),
+], ids=["series", "events", "rates"])
+def test_a_bom_is_dropped_from_text_as_from_bytes(load, text):
+    # a BOM before a single column is not a header's first character
+    text = "\ufeff" + text
+    assert load(io.StringIO(text)) == load(io.BytesIO(text.encode("utf-8")))
 
 
 counts = st.integers(min_value=0, max_value=10**6)

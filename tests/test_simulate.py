@@ -85,7 +85,7 @@ def test_generate_walk_validation():
 
 
 def test_generate_walk_overflow_is_refused_without_warnings():
-    # tier-1 turns a leaked RuntimeWarning into an error
+    # tier-1 turns a leaked warning into an error
     with pytest.raises(ValueError, match="finite"):
         generate_walk(0.0, 1e308, 20, seed=1)
 
